@@ -28,4 +28,9 @@ clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +
 
 loc:
-	@find src tests benchmarks examples -name '*.py' | xargs wc -l | tail -1
+	@for tree in src tests benchmarks examples; do \
+		printf '%-11s %s\n' $$tree \
+			"$$(find $$tree -name '*.py' -exec cat {} + | wc -l)"; \
+	done
+	@printf '%-11s %s\n' total \
+		"$$(find src tests benchmarks examples -name '*.py' -exec cat {} + | wc -l)"

@@ -20,19 +20,15 @@ simulation time for a small, quantified phase-sampling error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import CoreConfig
 from repro.isa.artifacts import TraceStore
 from repro.isa.trace import Trace
-from repro.mdp.base import MDPredictor
 from repro.sim.simulator import build_pipeline, get_trace
 from repro.sim.spec import RunSpec
-from repro.workloads.generator import WorkloadProfile
 
 #: Dimensionality of the hashed PC-frequency vectors.
 VECTOR_BUCKETS = 256
@@ -142,27 +138,20 @@ def _point_spec(spec: RunSpec) -> RunSpec:
 
 
 def simulate_simpoints(
-    profile: Union[RunSpec, str, WorkloadProfile],
-    predictor: Optional[Union[str, MDPredictor]] = None,
-    total_ops: Optional[int] = None,
+    spec: RunSpec,
     interval_ops: Optional[int] = None,
     max_clusters: int = 5,
     warmup_fraction: float = 0.2,
-    config: Optional[CoreConfig] = None,
     seed: int = 0,
 ) -> SimPointResult:
     """Estimate IPC from SimPoint representatives instead of the full trace.
 
-    The canonical form takes a :class:`~repro.sim.spec.RunSpec` (workload,
-    predictor, core, trace length and trace store all come from the spec)::
+    Workload, predictor, core, trace length and trace store all come from
+    the :class:`~repro.sim.spec.RunSpec`; ``interval_ops`` defaults to
+    ``spec.interval_ops``, and ``seed`` seeds the k-means clustering::
 
         simulate_simpoints(RunSpec("502.gcc", "phast", num_ops=100_000),
                            interval_ops=2_000)
-
-    The legacy form ``simulate_simpoints(profile, predictor, total_ops,
-    interval_ops, ...)`` packs its arguments into a spec and behaves
-    identically, but it is deprecated and warns with the exact replacement
-    call. ``seed`` seeds the k-means clustering in both forms.
 
     Each representative interval is simulated with a leading warm-up region
     (the previous ``warmup_fraction`` of an interval, when available) whose
@@ -171,41 +160,18 @@ def simulate_simpoints(
     functionally-warmed checkpoints instead of cold leads — plus error
     bars and parallel interval fan-out — see ``repro.sampling.run_sampled``.
     """
+    if not isinstance(spec, RunSpec):
+        raise TypeError(
+            "simulate_simpoints() takes a RunSpec: "
+            "simulate_simpoints(RunSpec(workload, predictor, num_ops=N), "
+            "interval_ops=M)"
+        )
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction out of range: {warmup_fraction}")
-    if isinstance(profile, RunSpec):
-        if predictor is not None or config is not None:
-            raise TypeError(
-                "simulate_simpoints(spec, ...) takes predictor and config "
-                "from the spec; use spec.with_overrides(...) to vary them"
-            )
-        spec = profile
-        if total_ops is not None:
-            spec = spec.with_overrides(num_ops=total_ops)
-        if interval_ops is None:
-            interval_ops = spec.interval_ops
-        if interval_ops is None:
-            raise TypeError("simulate_simpoints() requires interval_ops")
-    else:
-        if predictor is None or total_ops is None or interval_ops is None:
-            raise TypeError(
-                "simulate_simpoints() requires predictor, total_ops and "
-                "interval_ops (or a RunSpec)"
-            )
-        name = profile if isinstance(profile, str) else profile.name
-        predictor_repr = predictor if isinstance(predictor, str) else "<predictor>"
-        warnings.warn(
-            "simulate_simpoints(profile, predictor, total_ops, ...) is "
-            "deprecated; call simulate_simpoints(RunSpec("
-            f"{name!r}, {predictor_repr!r}, num_ops={total_ops}), "
-            f"interval_ops={interval_ops}) instead (from repro.api import "
-            "RunSpec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = RunSpec(
-            workload=profile, predictor=predictor, config=config, num_ops=total_ops
-        )
+    if interval_ops is None:
+        interval_ops = spec.interval_ops
+    if interval_ops is None:
+        raise TypeError("simulate_simpoints() requires interval_ops")
 
     store = TraceStore(spec.trace_dir) if spec.trace_dir else None
     trace = get_trace(spec.resolved_profile(), spec.resolved_num_ops(), store=store)

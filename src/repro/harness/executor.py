@@ -1,8 +1,8 @@
 """Process-isolated execution of sweep cells with timeouts and retries.
 
-Each cell runs in its own worker subprocess, so a pathological cell — an
+Each job runs in its own worker subprocess, so a pathological cell — an
 infinite loop, a segfaulting native extension, a memory blow-up, the kernel
-OOM killer — takes down only that cell, never the campaign. The parent
+OOM killer — takes down only that job, never the campaign. The parent
 classifies what happened (:class:`~repro.harness.failures.FailureKind`),
 retries transient failures with capped exponential backoff, and records a
 structured :class:`~repro.harness.failures.CellFailure` for anything that
@@ -10,25 +10,29 @@ still fails, while completed cells land in the crash-safe
 :class:`~repro.harness.store.ResultStore`.
 
 ``ProcessCellExecutor.run_many`` is a small deadline-driven scheduler: up to
-``workers`` subprocesses in flight, per-cell timeouts enforced with
+``workers`` subprocesses in flight, per-job timeouts enforced with
 ``proc.kill()``, and retry backoff expressed as "not before" timestamps so
 waiting cells never block a worker slot.
 
-Workers additionally stream *heartbeats*: an interval-metrics probe
-(:mod:`repro.sim.intervals`) on the simulation's probe bus forwards each
-completed per-``REPRO_HEARTBEAT_OPS`` window over the pipe. The parent
-stashes the most recent window per cell, so when a cell hangs and is killed
-(or crashes), its failure manifest records the last interval it completed —
-"died at op ~14000 with IPC collapsing" instead of just "timeout".
+**The worker protocol.** A job has one or more *items*: a
+:class:`BatchGroup` has its cells, any other job is its own single item. A
+worker sends exactly one *verdict* per item, in item order —
+``("ok", SimResult.to_record())`` or an in-band failure tag (``"invariant"``,
+``"oom"``, ``"error"``) — and may send ``("heartbeat", window_dict)``
+messages between verdicts. The parent assigns each heartbeat to the item in
+flight, which is the number of verdicts received so far, and stashes the
+latest window, so when an item hangs and is killed (or crashes) its failure
+manifest records the last interval it completed — "died at op ~14000 with
+IPC collapsing" instead of just "timeout". ``run_many`` returns exactly one
+outcome per item, in input order.
 
-The executor is job-generic: the default worker simulates a
-:class:`CellSpec`, but any picklable job works with a custom ``worker=``
-callable of the same ``(conn, job, check_invariants)`` shape that sends the
-same tagged messages (``("ok", SimResult.to_record())`` on success). A job
-only needs ``describe()`` (for failure manifests); ``key()`` is required
-only when a ``store`` is passed to ``run_many``. ``repro.sampling`` uses
-this to fan checkpoint-restored interval runs out across workers without a
-parallel scheduler of its own.
+The executor is job-generic: the default worker simulates
+:class:`CellSpec` items, but any picklable job works with a custom
+``worker=`` callable of the same ``(conn, job, check_invariants)`` shape
+that speaks the protocol above. A job only needs ``describe()`` (for
+failure manifests); ``key()`` is required only when a ``store`` is passed
+to ``run_many``. ``repro.sampling`` uses this to fan checkpoint-restored
+interval runs out across workers without a parallel scheduler of its own.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection, get_context
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -126,16 +130,16 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class BatchGroup:
-    """Several cells of one trace, scheduled as a single worker unit.
+    """Several cells of one trace, scheduled as a single worker job.
 
     The sweep planner groups pending cells that share an input trace and a
-    batch-capable backend; the worker then decodes the trace once and runs
-    every cell against the shared :class:`~repro.sim.backends.engine
-    .TracePrep`. The group occupies one worker slot and one per-group
-    timeout budget (``timeout × len(cells)``), but results stay per-cell:
-    each completed cell is streamed back and persisted individually, so a
-    crash mid-group salvages everything already finished and retries only
-    the rest — as solo cells, never as a whole group.
+    batch-capable backend; one worker then runs every cell against the
+    backend's shared :class:`~repro.sim.backends.engine.TracePrep`, so the
+    trace is decoded once. The group occupies one worker slot and one
+    timeout budget (``timeout × len(cells)``), but verdicts stay per-cell:
+    each cell settles into its own outcome the moment its verdict arrives,
+    so a crash mid-group keeps everything already finished and re-runs only
+    the rest — as one-item jobs, never as a group.
     """
 
     cells: Tuple[CellSpec, ...]
@@ -156,15 +160,23 @@ class BatchGroup:
         }
 
 
+def _items(job) -> tuple:
+    """The items one job settles, in order: a group's cells, else the job."""
+    return getattr(job, "cells", None) or (job,)
+
+
+def _narrow(job, items: tuple):
+    """``job`` cut down to ``items`` (an ordered subset of its own)."""
+    if len(items) == 1:
+        return items[0]
+    if len(items) == len(_items(job)):
+        return job
+    return replace(job, cells=items)
+
+
 @dataclass
 class CellOutcome:
-    """What one cell produced: a result (fresh or cached) or a failure.
-
-    For a :class:`BatchGroup` job, ``spec`` is the group and ``cells``
-    holds the per-cell outcomes that settled *with* the group (successes,
-    deadline cuts, breaker skips). Cells the group could not finish are
-    absent here — they are re-enqueued as solo cells and settle on their
-    own, so a group shell is bookkeeping, never a per-cell verdict.
+    """What one item produced: a result (fresh or cached) or a failure.
 
     A cell settled by the surrogate triage tier carries an ``estimate``
     (a :class:`~repro.surrogate.triage.SurrogateEstimate`) and neither a
@@ -178,7 +190,6 @@ class CellOutcome:
     attempts: int = 0
     elapsed_seconds: float = 0.0
     cached: bool = False
-    cells: Optional[List["CellOutcome"]] = None
     estimate: Optional[object] = None
 
     @property
@@ -186,113 +197,41 @@ class CellOutcome:
         return self.result is not None
 
 
-def _simulate_cell(
-    spec: CellSpec,
-    check_invariants: bool,
-    on_heartbeat: Optional[Callable] = None,
-) -> SimResult:
-    """Run one cell in-process (the worker body; importable for tests)."""
-    from repro.sim.intervals import IntervalMetricsProbe, heartbeat_interval_ops
-    from repro.sim.simulator import run_spec
+def _cell_worker(conn, job, check_invariants: bool) -> None:
+    """Subprocess entry point: one verdict per item of ``job``, then exit.
 
-    probes = []
-    if on_heartbeat is not None:
-        hb_ops = heartbeat_interval_ops()
-        if hb_ops > 0:
-            probes.append(IntervalMetricsProbe(hb_ops, on_window=on_heartbeat))
-    return run_spec(
-        spec.run_spec(check_invariants=check_invariants or None).with_overrides(
-            probes=tuple(probes)
-        )
-    )
-
-
-def _cell_worker(conn, spec: CellSpec, check_invariants: bool) -> None:
-    """Subprocess entry point: simulate, send a tagged message, exit.
-
-    Completed interval windows are streamed as ``("heartbeat", window_dict)``
-    messages ahead of the final tagged message.
-    """
-    from repro.sim.invariants import SimInvariantError
-
-    def heartbeat(window) -> None:
-        conn.send(("heartbeat", window.to_dict()))
-
-    try:
-        result = _simulate_cell(spec, check_invariants, on_heartbeat=heartbeat)
-        conn.send(("ok", result.to_record()))
-    except SimInvariantError as exc:
-        conn.send(("invariant", {"message": str(exc), "detail": exc.to_dict()}))
-    except MemoryError:
-        conn.send(("oom", {"message": "MemoryError in worker"}))
-    except BaseException as exc:  # noqa: BLE001 — report, parent classifies
-        conn.send(
-            (
-                "error",
-                {
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "detail": {"traceback": traceback.format_exc()},
-                },
-            )
-        )
-    finally:
-        conn.close()
-
-
-def _batch_group_worker(conn, group: BatchGroup, check_invariants: bool) -> None:
-    """Subprocess entry point for a :class:`BatchGroup`.
-
-    Runs every cell through the group's backend instance (so all cells of
-    the trace share one decode/prep), streaming a ``("cell", i, tag,
-    payload)`` message per finished cell — ``"ok"`` with the result record,
-    or the usual in-band failure tags. Heartbeat windows carry a ``"cell"``
-    index so the parent's last-interval stash stays meaningful. A final
-    ``("ok", ...)`` means every cell was at least attempted; per-cell
-    failures never abort the rest of the group.
+    Every item runs through its backend's ``run_many`` — the ``batch``
+    backend keeps its trace prep cached between calls, so the cells of a
+    group share one decode — with completed interval windows streamed as
+    ``("heartbeat", window_dict)`` messages ahead of the item's verdict. A
+    failing item reports its in-band failure tag and the next item runs.
     """
     from repro.sim.backends import get_backend
     from repro.sim.intervals import heartbeat_interval_ops
     from repro.sim.invariants import SimInvariantError
 
+    def heartbeat(_index, window) -> None:
+        conn.send(("heartbeat", window))
+
     try:
-        backend = get_backend(group.backend)
-        hb_ops = heartbeat_interval_ops()
-        for index, cell in enumerate(group.cells):
-            spec = cell.run_spec(check_invariants=check_invariants or None)
-
-            def on_result(_j, result, _i=index) -> None:
-                conn.send(("cell", _i, "ok", result.to_record()))
-
-            def on_heartbeat(_j, window, _i=index) -> None:
-                payload = dict(window)
-                payload["cell"] = _i
-                conn.send(("heartbeat", payload))
-
+        for item in _items(job):
             try:
-                backend.run_many(
+                spec = item.run_spec(check_invariants=check_invariants or None)
+                (result,) = get_backend(spec.resolved_backend()).run_many(
                     [spec],
-                    on_result=on_result,
-                    on_heartbeat=on_heartbeat,
-                    heartbeat_ops=hb_ops or None,
+                    on_heartbeat=heartbeat,
+                    heartbeat_ops=heartbeat_interval_ops() or None,
                 )
+                conn.send(("ok", result.to_record()))
             except SimInvariantError as exc:
                 conn.send(
-                    (
-                        "cell",
-                        index,
-                        "invariant",
-                        {"message": str(exc), "detail": exc.to_dict()},
-                    )
+                    ("invariant", {"message": str(exc), "detail": exc.to_dict()})
                 )
             except MemoryError:
-                conn.send(
-                    ("cell", index, "oom", {"message": "MemoryError in worker"})
-                )
-            except BaseException as exc:  # noqa: BLE001 — report, keep going
+                conn.send(("oom", {"message": "MemoryError in worker"}))
+            except BaseException as exc:  # noqa: BLE001 — report, parent classifies
                 conn.send(
                     (
-                        "cell",
-                        index,
                         "error",
                         {
                             "message": f"{type(exc).__name__}: {exc}",
@@ -300,17 +239,6 @@ def _batch_group_worker(conn, group: BatchGroup, check_invariants: bool) -> None
                         },
                     )
                 )
-        conn.send(("ok", {"cells": len(group.cells)}))
-    except BaseException as exc:  # noqa: BLE001 — setup failed before any cell
-        conn.send(
-            (
-                "error",
-                {
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "detail": {"traceback": traceback.format_exc()},
-                },
-            )
-        )
     finally:
         conn.close()
 
@@ -326,39 +254,31 @@ _TAG_KINDS = {
 class _Running:
     """Bookkeeping for one in-flight worker process."""
 
-    __slots__ = ("index", "spec", "attempt", "proc", "conn", "deadline",
-                 "started", "last_interval", "cell_events", "on_heartbeat")
+    __slots__ = ("slots", "job", "items", "attempt", "proc", "conn",
+                 "deadline", "started", "done", "last_interval")
 
-    def __init__(
-        self, index, spec, attempt, proc, conn, deadline, started,
-        on_heartbeat=None,
-    ):
-        self.index = index
-        self.spec = spec
+    def __init__(self, slots, job, attempt, proc, conn, deadline, started):
+        self.slots = slots  # outcome position of each item
+        self.job = job
+        self.items = _items(job)
         self.attempt = attempt
         self.proc = proc
         self.conn = conn
         self.deadline = deadline
         self.started = started
-        # Live-progress callback for streamed heartbeat windows (must not
-        # raise; it runs inside the scheduler loop).
-        self.on_heartbeat = on_heartbeat
-        # Most recent ("heartbeat", window_dict) payload; lands in the
-        # failure manifest if the cell times out or dies.
+        # Verdicts received so far — also the position of the item in flight.
+        self.done = 0
+        # The in-flight item's most recent heartbeat window; lands in its
+        # failure manifest if the worker times out or dies.
         self.last_interval = None
-        # Batch groups only: cell index -> (tag, payload) for every
-        # ("cell", ...) message received so far. This is the salvage
-        # ledger — whatever is here when the worker dies is kept.
-        self.cell_events: Dict[int, Tuple[str, object]] = {}
 
 
 class ProcessCellExecutor:
-    """Runs cells in worker subprocesses with timeout/retry/backoff.
+    """Runs jobs in worker subprocesses with timeout/retry/backoff.
 
     ``worker`` is the subprocess entry point — injectable so the tests can
     substitute deliberately hanging/crashing cells without touching the
-    simulator; ``group_worker`` is the same hook for :class:`BatchGroup`
-    jobs. ``mp_context`` defaults to fork where available (cheap on
+    simulator. ``mp_context`` defaults to fork where available (cheap on
     Linux; workers inherit nothing mutable they can corrupt — results flow
     back only through the pipe).
 
@@ -380,7 +300,6 @@ class ProcessCellExecutor:
         backoff_cap: float = 30.0,
         check_invariants: bool = False,
         worker: Callable = _cell_worker,
-        group_worker: Callable = _batch_group_worker,
         mp_context=None,
         jitter_seed: Optional[int] = None,
         breaker_threshold: Optional[int] = None,
@@ -392,7 +311,6 @@ class ProcessCellExecutor:
         self.backoff_cap = backoff_cap
         self.check_invariants = check_invariants
         self.worker = worker
-        self.group_worker = group_worker
         self.jitter_seed = jitter_seed
         if breaker_threshold is not None and breaker_threshold < 1:
             raise ValueError(
@@ -414,20 +332,18 @@ class ProcessCellExecutor:
 
     def _spawn(
         self,
-        index: int,
-        spec: CellSpec,
+        slots: Tuple[int, ...],
+        job,
         attempt: int,
         now: float,
         chaos: Optional[ChaosEngine] = None,
-        heartbeat: Optional[Callable] = None,
     ) -> _Running:
-        is_group = isinstance(spec, BatchGroup)
-        target: Callable = self.group_worker if is_group else self.worker
-        payload: object = spec
+        target: Callable = self.worker
+        payload: object = job
         if chaos is not None:
-            directive = chaos.worker_directive(spec, attempt)
+            directive = chaos.worker_directive(job, attempt)
             if directive is not None:
-                payload = ChaosJob(job=spec, directive=directive, worker=target)
+                payload = ChaosJob(job=job, directive=directive, worker=target)
                 target = _chaos_worker
         parent_conn, child_conn = self.mp.Pipe(duplex=False)
         proc = self.mp.Process(
@@ -437,172 +353,58 @@ class ProcessCellExecutor:
         )
         proc.start()
         child_conn.close()  # parent's copy; lets EOF surface on worker death
-        # A group gets the whole group's worth of timeout budget: it is one
-        # process doing len(cells) cells of work.
-        budget = self.timeout * (len(spec.cells) if is_group else 1)
+        # One process doing len(items) items of work gets that many budgets.
+        budget = self.timeout * len(_items(job))
         return _Running(
-            index=index,
-            spec=spec,
-            attempt=attempt,
-            proc=proc,
-            conn=parent_conn,
-            deadline=now + budget,
-            started=now,
-            on_heartbeat=heartbeat,
+            slots, job, attempt, proc, parent_conn, now + budget, now
         )
 
-    def _drain(self, entry: _Running) -> Optional[Tuple[str, object]]:
-        """Read pending pipe messages, stashing heartbeats.
-
-        Returns the first non-heartbeat (final) message, or None if the
-        worker has nothing final to say yet (or the pipe hit EOF).
-        """
+    @staticmethod
+    def _messages(entry: _Running):
+        """Yield the worker's pending pipe messages, stopping at EOF."""
         try:
             while entry.conn.poll(0):
-                message = entry.conn.recv()
-                if message[0] == "heartbeat":
-                    entry.last_interval = message[1]
-                    if entry.on_heartbeat is not None:
-                        entry.on_heartbeat(entry.spec, message[1])
-                elif message[0] == "cell":
-                    # Batch groups: per-cell completion/failure events are
-                    # stashed, not final — the group keeps running.
-                    entry.cell_events[message[1]] = (message[2], message[3])
-                else:
-                    return message
+                yield entry.conn.recv()
         except (EOFError, OSError):
-            return None
-        return None
+            return
 
-    def _reap(
-        self, entry: _Running, message: Optional[Tuple[str, object]] = None
+    def _verdict(
+        self, entry: _Running, tag: str, payload
     ) -> Tuple[Optional[SimResult], Optional[CellFailure]]:
-        """Collect a finished (readable or dead) worker; classify the outcome."""
-        if message is None:
-            message = self._drain(entry)
-        entry.proc.join(5)
-        entry.conn.close()
-        elapsed = time.monotonic() - entry.started
-
-        if message is not None:
-            tag, payload = message
-            if tag == "ok":
-                try:
-                    return SimResult.from_record(payload), None
-                except (KeyError, TypeError, ValueError) as exc:
-                    return None, self._failure(
-                        entry,
-                        FailureKind.ERROR,
-                        f"worker sent an undecodable result: {exc}",
-                        elapsed,
-                    )
+        """Decode the in-flight item's verdict message."""
+        detail = None
+        if tag == "ok":
+            try:
+                return SimResult.from_record(payload), None
+            except (KeyError, TypeError, ValueError) as exc:
+                kind = FailureKind.ERROR
+                message = f"worker sent an undecodable result: {exc}"
+        else:
             kind = _TAG_KINDS.get(tag, FailureKind.ERROR)
-            return None, self._failure(
-                entry,
-                kind,
-                str(payload.get("message", tag)),
-                elapsed,
-                detail=payload.get("detail"),
-            )
-
-        kind, reason = classify_exitcode(entry.proc.exitcode)
-        return None, self._failure(entry, kind, reason, elapsed)
-
-    def _reap_group(
-        self, entry: _Running, message: Optional[Tuple[str, object]] = None
-    ) -> Optional[CellFailure]:
-        """Collect a finished batch-group worker.
-
-        Returns ``None`` when the worker signed off cleanly (every cell was
-        attempted; per-cell verdicts live in ``entry.cell_events``), or the
-        group-level failure when the process died or errored out mid-run —
-        in which case whatever reached ``cell_events`` first is still good.
-        """
-        if message is None:
-            message = self._drain(entry)
-        entry.proc.join(5)
-        entry.conn.close()
+            message = str(payload.get("message", tag))
+            detail = payload.get("detail")
         elapsed = time.monotonic() - entry.started
-
-        if message is not None:
-            tag, payload = message
-            if tag == "ok":
-                return None
-            kind = _TAG_KINDS.get(tag, FailureKind.ERROR)
-            return self._failure(
-                entry,
-                kind,
-                str(payload.get("message", tag)),
-                elapsed,
-                detail=payload.get("detail"),
-            )
-        kind, reason = classify_exitcode(entry.proc.exitcode)
-        return self._failure(entry, kind, reason, elapsed)
-
-    def _kill_timed_out(self, entry: _Running) -> CellFailure:
-        self._drain(entry)  # salvage any last heartbeats before killing
-        entry.proc.kill()
-        entry.proc.join(5)
-        entry.conn.close()
-        elapsed = time.monotonic() - entry.started
-        budget = entry.deadline - entry.started  # timeout × cells for groups
-        return self._failure(
-            entry,
-            FailureKind.TIMEOUT,
-            f"cell exceeded the {budget:.1f}s timeout",
-            elapsed,
-        )
-
-    def _kill_cut(self, entry: _Running, deadline: float) -> CellFailure:
-        """Kill an in-flight worker at the campaign deadline (clean shutdown)."""
-        self._drain(entry)  # salvage heartbeats: the manifest says where it was
-        entry.proc.kill()
-        entry.proc.join(5)
-        entry.conn.close()
-        elapsed = time.monotonic() - entry.started
-        return self._failure(
-            entry,
-            FailureKind.DEADLINE,
-            f"killed at the {deadline:.1f}s campaign deadline",
-            elapsed,
-            detail={"deadline_seconds": deadline, "phase": "running"},
-        )
-
-    def _kill_cancelled(self, entry: _Running) -> CellFailure:
-        """Kill an in-flight worker after a stop request (cancellation).
-
-        Same clean-shutdown semantics as a deadline cut: kind ``deadline``
-        (ephemeral — never persisted), last heartbeats salvaged into the
-        manifest, and the cell stays pending for a resumed run.
-        """
-        self._drain(entry)
-        entry.proc.kill()
-        entry.proc.join(5)
-        entry.conn.close()
-        elapsed = time.monotonic() - entry.started
-        return self._failure(
-            entry,
-            FailureKind.DEADLINE,
-            "cancelled: killed by a stop request",
-            elapsed,
-            detail={"cancelled": True, "phase": "running"},
+        return None, self._failure(
+            entry, entry.done, kind, message, elapsed, detail
         )
 
     def _failure(
         self,
         entry: _Running,
+        pos: int,
         kind: FailureKind,
         message: str,
         elapsed: float,
         detail=None,
     ) -> CellFailure:
-        if entry.last_interval is not None:
+        """A failure of item ``pos`` of a spawned job."""
+        if pos == entry.done and entry.last_interval is not None:
             detail = dict(detail or {})
             detail["last_interval"] = entry.last_interval
         return CellFailure(
             kind=kind,
             message=message,
-            cell=entry.spec.describe(),
+            cell=entry.items[pos].describe(),
             attempts=entry.attempt + 1,
             elapsed_seconds=round(elapsed, 3),
             detail=detail,
@@ -612,6 +414,30 @@ class ProcessCellExecutor:
 
     def run_one(self, spec: CellSpec) -> CellOutcome:
         return self.run_many([spec])[0]
+
+    def _stored(
+        self, item, store: ResultStore, quarantine: bool
+    ) -> Optional[CellOutcome]:
+        """The item's outcome if the store already settles it, else None."""
+        cached = store.get(item.key())
+        if cached is not None:
+            return CellOutcome(spec=item, result=cached, cached=True)
+        if not quarantine:
+            return None
+        prior = store.get_failure(item.key())
+        if prior is None:
+            return None
+        failure = CellFailure(
+            kind=FailureKind.QUARANTINED,
+            message=(
+                f"quarantined: failed {prior.attempts} attempt(s) "
+                f"in a previous run ({prior.kind.value}: {prior.message})"
+            ),
+            cell=item.describe(),
+            attempts=prior.attempts,
+            detail={"original": prior.to_dict()},
+        )
+        return CellOutcome(spec=item, failure=failure)
 
     def run_many(
         self,
@@ -625,27 +451,28 @@ class ProcessCellExecutor:
         heartbeat: Optional[Callable] = None,
         stop=None,
     ) -> List[CellOutcome]:
-        """Run every cell; never raises for a failing cell.
+        """Run every job; never raises for a failing item.
 
-        With a ``store`` and ``resume=True``, cells whose results are already
-        durable are returned as cache hits without spawning a worker; fresh
-        results and final failures are persisted as they complete, so a
-        killed sweep resumes from its last finished cell.
+        Returns exactly one outcome per item, in input order: a
+        :class:`BatchGroup` contributes one outcome per cell, any other job
+        one outcome of its own.
+
+        With a ``store`` and ``resume=True``, items whose results are
+        already durable are returned as cache hits without spawning a
+        worker; fresh results and final failures are persisted as they
+        complete, so a killed sweep resumes from its last finished cell.
+        This is the one place resume and quarantine are decided: a group
+        whose cells are partly settled runs only the rest.
 
         ``specs`` may be any picklable jobs (not just :class:`CellSpec`)
         when a matching custom ``worker=`` was given at construction;
         without a ``store`` only ``describe()`` is required of them.
 
-        ``specs`` may also contain :class:`BatchGroup` jobs (the sweep
-        planner emits them): one worker runs the whole group, streaming
-        per-cell results that are persisted individually as they arrive.
-        A group's outcome carries its settled cells in ``outcome.cells``;
-        cells the group worker did not finish (crash, timeout, in-band
-        per-cell failure) are retried as *solo* cells — their outcomes are
-        **appended after** the per-spec outcomes, so with groups present
-        the returned list can be longer than ``specs``. Group jobs skip
-        the resume/quarantine store checks; the planner only groups cells
-        it already knows are pending.
+        Items of a multi-item job that do not come back ``ok`` — an in-band
+        failure, or a worker that crashed or timed out before their verdict
+        — re-run as one-item jobs at the next attempt, where the normal
+        retry/backoff and failure taxonomy apply: one bad cell, or one
+        injected fault, never decides its groupmates' verdicts.
 
         Campaign-level policies:
 
@@ -666,10 +493,10 @@ class ProcessCellExecutor:
 
         Live progress:
 
-        * ``heartbeat`` — called as ``heartbeat(job, window_dict)`` for every
-          streamed interval window, from the scheduler loop (so it must be
-          fast and must not raise). For batch groups the window carries a
-          ``"cell"`` index. The server's SSE feed rides on this.
+        * ``heartbeat`` — called as ``heartbeat(item, window_dict)`` for
+          every streamed interval window, from the scheduler loop (so it
+          must be fast and must not raise). The server's SSE feed rides on
+          this.
         * ``stop`` — a ``threading.Event``; once set, in-flight workers are
           killed and everything unfinished settles with kind ``deadline``
           ("cancelled" in the message, ``{"cancelled": True}`` in the
@@ -678,20 +505,21 @@ class ProcessCellExecutor:
           within ~0.5s.
         """
         outcomes: Dict[int, CellOutcome] = {}
-        # Each pending entry is (index, spec, attempt, not-before timestamp).
-        pending: List[Tuple[int, CellSpec, int, float]] = []
+        # Each pending entry is (slots, job, attempt, not-before timestamp);
+        # ``slots`` holds the outcome position of each of the job's items.
+        pending: List[Tuple[Tuple[int, ...], object, int, float]] = []
         cutoff = None if deadline is None else time.monotonic() + float(deadline)
         # Circuit-breaker ledger: final failures / successes per workload.
         final_failures: Dict[object, int] = {}
         successes: Dict[object, int] = {}
 
-        def group(spec) -> object:
-            return getattr(spec, "workload", None)
+        def workload_of(job) -> object:
+            return getattr(job, "workload", None)
 
-        def breaker_tripped(spec) -> bool:
+        def breaker_tripped(job) -> bool:
             if self.breaker_threshold is None:
                 return False
-            key = group(spec)
+            key = workload_of(job)
             if key is None:
                 return False
             return (
@@ -699,187 +527,131 @@ class ProcessCellExecutor:
                 and final_failures.get(key, 0) >= self.breaker_threshold
             )
 
-        for index, spec in enumerate(specs):
-            if store is not None and resume and not isinstance(spec, BatchGroup):
-                cached = store.get(spec.key())
-                if cached is not None:
-                    outcomes[index] = CellOutcome(
-                        spec=spec, result=cached, cached=True
-                    )
-                    successes[group(spec)] = successes.get(group(spec), 0) + 1
-                    if progress:
-                        progress(outcomes[index])
-                    continue
-                if quarantine:
-                    prior = store.get_failure(spec.key())
-                    if prior is not None:
-                        failure = CellFailure(
-                            kind=FailureKind.QUARANTINED,
-                            message=(
-                                f"quarantined: failed {prior.attempts} attempt(s) "
-                                f"in a previous run ({prior.kind.value}: "
-                                f"{prior.message})"
-                            ),
-                            cell=spec.describe(),
-                            attempts=prior.attempts,
-                            detail={"original": prior.to_dict()},
-                        )
-                        outcomes[index] = CellOutcome(spec=spec, failure=failure)
-                        if progress:
-                            progress(outcomes[index])
-                        continue
-            pending.append((index, spec, 0, 0.0))
+        def record(slot: int, outcome: CellOutcome) -> None:
+            outcomes[slot] = outcome
+            if outcome.ok:
+                key = workload_of(outcome.spec)
+                successes[key] = successes.get(key, 0) + 1
+            if progress:
+                progress(outcome)
 
-        running: List[_Running] = []
-        # Solo retries salvaged out of failed batch groups get fresh outcome
-        # indices past the end of ``specs``.
-        extra_index = len(specs)
+        total = 0
+        for job in specs:
+            live = []
+            for item in _items(job):
+                stored = None
+                if store is not None and resume:
+                    stored = self._stored(item, store, quarantine)
+                if stored is None:
+                    live.append((total, item))
+                else:
+                    record(total, stored)
+                total += 1
+            if live:
+                slots, items = zip(*live)
+                pending.append((slots, _narrow(job, items), 0, 0.0))
 
-        def next_index() -> int:
-            nonlocal extra_index
-            extra_index += 1
-            return extra_index - 1
-
-        def settle(index: int, spec: CellSpec, attempt: int, result, failure) -> None:
-            now = time.monotonic()
-            if failure is not None and chaos is not None:
-                chaos.observe(spec, attempt, failure.kind)
+        def settle(slot: int, item, attempt: int, result, failure) -> None:
+            """Final verdict for one item's attempt — or a retry of it."""
             if result is not None:
-                outcome = CellOutcome(
-                    spec=spec, result=result, attempts=attempt + 1
-                )
-                successes[group(spec)] = successes.get(group(spec), 0) + 1
                 if store is not None:
-                    store.put(spec.key(), result)
-            elif failure.transient and attempt < self.retries:
+                    store.put(item.key(), result)
+                record(slot, CellOutcome(
+                    spec=item, result=result, attempts=attempt + 1
+                ))
+                return
+            if failure.transient and attempt < self.retries:
                 jitter = None
                 if self.jitter_seed is not None:
                     jitter = jitter_fraction(
                         self.jitter_seed,
-                        json.dumps(spec.describe(), sort_keys=True, default=str),
+                        json.dumps(item.describe(), sort_keys=True, default=str),
                         attempt,
                     )
                 delay = backoff_delay(
                     attempt, self.backoff_base, self.backoff_cap, jitter
                 )
-                pending.append((index, spec, attempt + 1, now + delay))
+                pending.append(((slot,), item, attempt + 1, time.monotonic() + delay))
                 return
-            else:
-                outcome = CellOutcome(
-                    spec=spec, failure=failure, attempts=attempt + 1
-                )
-                if failure.kind not in EPHEMERAL_KINDS:
-                    final_failures[group(spec)] = (
-                        final_failures.get(group(spec), 0) + 1
-                    )
-                    if store is not None:
-                        store.put_failure(spec.key(), failure)
-            outcomes[index] = outcome
-            if progress:
-                progress(outcome)
+            if failure.kind not in EPHEMERAL_KINDS:
+                key = workload_of(item)
+                final_failures[key] = final_failures.get(key, 0) + 1
+                if store is not None:
+                    store.put_failure(item.key(), failure)
+            record(slot, CellOutcome(
+                spec=item, failure=failure, attempts=attempt + 1
+            ))
 
-        def settle_batch(
-            index: int,
-            batch: BatchGroup,
-            attempt: int,
-            cell_events: Dict[int, Tuple[str, object]],
-            failure: Optional[CellFailure],
-            cut: bool = False,
-            cut_phase: str = "running",
-            cut_message: Optional[str] = None,
-            cut_detail: Optional[Dict[str, object]] = None,
-        ) -> None:
-            """Settle a batch group from whatever its worker got done.
-
-            Every cell with a salvaged ``"ok"`` event settles as a success
-            (persisted individually). The rest either settle as per-cell
-            ``deadline`` cuts (``cut=True`` — the campaign is over) or are
-            re-enqueued as *solo* cells: one bad cell — or one injected
-            fault — must never poison the verdict of its groupmates, so
-            retries always drop back to full per-cell isolation, where the
-            normal failure taxonomy applies.
-            """
-            now = time.monotonic()
+        def conclude(entry: _Running, pos: int, result, failure) -> None:
+            """Settle item ``pos`` of a spawned job with its attempt's verdict."""
             if failure is not None and chaos is not None:
-                chaos.observe(batch, attempt, failure.kind)
-            settled: List[CellOutcome] = []
-            for cell_pos, cell in enumerate(batch.cells):
-                event = cell_events.get(cell_pos)
-                result = None
-                if event is not None and event[0] == "ok":
-                    try:
-                        result = SimResult.from_record(event[1])
-                    except (KeyError, TypeError, ValueError):
-                        result = None  # undecodable: retry solo
-                if result is not None:
-                    sub = CellOutcome(
-                        spec=cell, result=result, attempts=attempt + 1
-                    )
-                    successes[group(cell)] = successes.get(group(cell), 0) + 1
-                    if store is not None:
-                        store.put(cell.key(), result)
-                    settled.append(sub)
-                    if progress:
-                        progress(sub)
-                elif cut:
-                    tries = attempt + (1 if cut_phase == "running" else 0)
-                    detail = dict(cut_detail) if cut_detail is not None else {
-                        "deadline_seconds": float(deadline)
-                    }
-                    detail["phase"] = cut_phase
-                    cell_failure = CellFailure(
-                        kind=FailureKind.DEADLINE,
-                        message=cut_message
-                        or (
-                            f"batch group cut at the "
-                            f"{float(deadline):.1f}s campaign deadline"
-                        ),
-                        cell=cell.describe(),
-                        attempts=tries,
-                        detail=detail,
-                    )
-                    sub = CellOutcome(
-                        spec=cell, failure=cell_failure, attempts=tries
-                    )
-                    settled.append(sub)
-                    if progress:
-                        progress(sub)
-                else:
-                    pending.append((next_index(), cell, attempt + 1, now))
-            outcomes[index] = CellOutcome(
-                spec=batch, failure=failure, attempts=attempt + 1, cells=settled
-            )
+                chaos.observe(entry.job, entry.attempt, failure.kind)
+            slot, item = entry.slots[pos], entry.items[pos]
+            if (
+                failure is None
+                or len(entry.items) == 1
+                or failure.kind is FailureKind.DEADLINE
+            ):
+                settle(slot, item, entry.attempt, result, failure)
+            else:
+                pending.append(((slot,), item, entry.attempt + 1, time.monotonic()))
 
-        def settle_skipped(index: int, spec: CellSpec, attempt: int) -> None:
-            key = group(spec)
+        def drain(entry: _Running) -> None:
+            """Consume pending messages: heartbeats go to the item in
+            flight, each verdict settles it and moves on to the next."""
+            for tag, payload in self._messages(entry):
+                if entry.done == len(entry.items):
+                    break
+                if tag == "heartbeat":
+                    entry.last_interval = payload
+                    if heartbeat is not None:
+                        heartbeat(entry.items[entry.done], payload)
+                    continue
+                result, failure = self._verdict(entry, tag, payload)
+                entry.done += 1
+                entry.last_interval = None
+                conclude(entry, entry.done - 1, result, failure)
 
-            def skipped_failure(job) -> CellFailure:
-                return CellFailure(
+        def finish(
+            entry: _Running,
+            kill: bool = False,
+            kind: Optional[FailureKind] = None,
+            message: str = "",
+            detail=None,
+        ) -> None:
+            """Reap a worker; items still owed a verdict fail with ``kind``
+            (or the exit-code classification when ``kind`` is None)."""
+            drain(entry)  # salvage verdicts and heartbeats that raced the end
+            if kill:
+                entry.proc.kill()
+            entry.proc.join(5)
+            entry.conn.close()
+            if entry.done == len(entry.items):
+                return
+            if kind is None:
+                kind, message = classify_exitcode(entry.proc.exitcode)
+            elapsed = time.monotonic() - entry.started
+            for pos in range(entry.done, len(entry.items)):
+                conclude(entry, pos, None, self._failure(
+                    entry, pos, kind, message, elapsed,
+                    detail=None if detail is None else dict(detail),
+                ))
+
+        def settle_skipped(slots, job, attempt: int) -> None:
+            key = workload_of(job)
+            for slot, item in zip(slots, _items(job)):
+                settle(slot, item, attempt, None, CellFailure(
                     kind=FailureKind.SKIPPED,
                     message=(
                         f"circuit breaker open for workload {key!r}: "
                         f"{final_failures.get(key, 0)} failures, 0 successes"
                     ),
-                    cell=job.describe(),
+                    cell=item.describe(),
                     attempts=attempt,
                     detail={"breaker_threshold": self.breaker_threshold},
-                )
+                ))
 
-            if isinstance(spec, BatchGroup):
-                settled = []
-                for cell in spec.cells:
-                    sub = CellOutcome(
-                        spec=cell, failure=skipped_failure(cell), attempts=attempt
-                    )
-                    settled.append(sub)
-                    if progress:
-                        progress(sub)
-                outcomes[index] = CellOutcome(
-                    spec=spec, attempts=attempt, cells=settled
-                )
-                return
-            settle(index, spec, attempt, None, skipped_failure(spec))
-
+        running: List[_Running] = []
         stopped = False
         while pending or running:
             now = time.monotonic()
@@ -889,24 +661,22 @@ class ProcessCellExecutor:
                 stopped = True
                 break
 
-            # Launch every eligible pending cell into a free worker slot —
+            # Launch every eligible pending job into a free worker slot —
             # unless its workload's circuit breaker is open, in which case
-            # it settles as skipped without costing a slot.
+            # its items settle as skipped without costing a slot.
             launched = []
-            for slot, (index, spec, attempt, not_before) in enumerate(pending):
-                if breaker_tripped(spec):
-                    settle_skipped(index, spec, attempt)
-                    launched.append(slot)
+            for position, (slots, job, attempt, not_before) in enumerate(pending):
+                if breaker_tripped(job):
+                    settle_skipped(slots, job, attempt)
+                    launched.append(position)
                     continue
                 if len(running) >= self.workers:
                     break
                 if not_before <= now:
-                    running.append(
-                        self._spawn(index, spec, attempt, now, chaos, heartbeat)
-                    )
-                    launched.append(slot)
-            for slot in reversed(launched):
-                pending.pop(slot)
+                    running.append(self._spawn(slots, job, attempt, now, chaos))
+                    launched.append(position)
+            for position in reversed(launched):
+                pending.pop(position)
 
             if not running:
                 if not pending:
@@ -937,131 +707,55 @@ class ProcessCellExecutor:
             now = time.monotonic()
             still_running: List[_Running] = []
             for entry in running:
-                # A readable pipe may only carry heartbeats; drain first and
-                # reap only on a final message or a dead worker.
-                final = self._drain(entry) if entry.conn in ready else None
-                is_group = isinstance(entry.spec, BatchGroup)
-                if final is not None or not entry.proc.is_alive():
-                    if is_group:
-                        failure = self._reap_group(entry, final)
-                        settle_batch(
-                            entry.index,
-                            entry.spec,
-                            entry.attempt,
-                            entry.cell_events,
-                            failure,
-                        )
-                    else:
-                        result, failure = self._reap(entry, final)
-                        settle(
-                            entry.index, entry.spec, entry.attempt, result, failure
-                        )
+                # A readable pipe may carry only heartbeats; a worker is
+                # reaped once it owes no verdicts or is dead.
+                if entry.conn in ready:
+                    drain(entry)
+                if entry.done == len(entry.items) or not entry.proc.is_alive():
+                    finish(entry)
                 elif now >= entry.deadline:
-                    failure = self._kill_timed_out(entry)
-                    if is_group:
-                        settle_batch(
-                            entry.index,
-                            entry.spec,
-                            entry.attempt,
-                            entry.cell_events,
-                            failure,
-                        )
-                    else:
-                        settle(entry.index, entry.spec, entry.attempt, None, failure)
+                    budget = entry.deadline - entry.started
+                    finish(
+                        entry,
+                        kill=True,
+                        kind=FailureKind.TIMEOUT,
+                        message=f"cell exceeded the {budget:.1f}s timeout",
+                    )
                 else:
                     still_running.append(entry)
             running = still_running
 
-        # Cancellation: same clean partial-result shutdown as a deadline cut,
-        # with "cancelled" bookkeeping so the status surface can tell the two
-        # apart. Nothing is persisted; the cells stay pending for a resume.
-        if stopped and (pending or running):
+        # Anything left means a stop request or the campaign deadline ended
+        # the loop early: a clean partial-result shutdown. In-flight workers
+        # are killed (their finished items are already settled and durable)
+        # and everything unfinished settles with kind ``deadline`` —
+        # ephemeral, never persisted, so a resumed run picks it up again.
+        if pending or running:
+            if stopped:
+                detail = {"cancelled": True}
+                killed = "cancelled: killed by a stop request"
+                unstarted = "never started: cancelled by a stop request"
+            else:
+                seconds = float(deadline)
+                detail = {"deadline_seconds": seconds}
+                killed = f"killed at the {seconds:.1f}s campaign deadline"
+                unstarted = f"never started: campaign hit its {seconds:.1f}s deadline"
             for entry in running:
-                failure = self._kill_cancelled(entry)
-                if isinstance(entry.spec, BatchGroup):
-                    settle_batch(
-                        entry.index,
-                        entry.spec,
-                        entry.attempt,
-                        entry.cell_events,
-                        failure,
-                        cut=True,
-                        cut_message="batch group cancelled by a stop request",
-                        cut_detail={"cancelled": True},
-                    )
-                else:
-                    settle(entry.index, entry.spec, entry.attempt, None, failure)
-            for index, spec, attempt, _ in pending:
-                if isinstance(spec, BatchGroup):
-                    settle_batch(
-                        index,
-                        spec,
-                        attempt,
-                        {},
-                        None,
-                        cut=True,
-                        cut_phase="pending",
-                        cut_message="batch group cancelled by a stop request",
-                        cut_detail={"cancelled": True},
-                    )
-                    continue
-                failure = CellFailure(
+                finish(
+                    entry,
+                    kill=True,
                     kind=FailureKind.DEADLINE,
-                    message="never started: cancelled by a stop request",
-                    cell=spec.describe(),
-                    attempts=attempt,
-                    detail={"cancelled": True, "phase": "pending"},
+                    message=killed,
+                    detail={**detail, "phase": "running"},
                 )
-                settle(index, spec, attempt, None, failure)
-            pending, running = [], []
+            for slots, job, attempt, _ in pending:
+                for slot, item in zip(slots, _items(job)):
+                    settle(slot, item, attempt, None, CellFailure(
+                        kind=FailureKind.DEADLINE,
+                        message=unstarted,
+                        cell=item.describe(),
+                        attempts=attempt,
+                        detail={**detail, "phase": "pending"},
+                    ))
 
-        # Deadline expiry: clean partial-result shutdown. Kill what is in
-        # flight, settle everything unfinished as cut — nothing is persisted
-        # (the cells stay pending for a resumed run), and every result that
-        # completed before the cut is already durable in the store.
-        if cutoff is not None and (pending or running):
-            for entry in running:
-                failure = self._kill_cut(entry, float(deadline))
-                if isinstance(entry.spec, BatchGroup):
-                    # Completed cells were streamed before the cut: keep
-                    # them; the rest settle as per-cell deadline cuts.
-                    settle_batch(
-                        entry.index,
-                        entry.spec,
-                        entry.attempt,
-                        entry.cell_events,
-                        failure,
-                        cut=True,
-                    )
-                else:
-                    settle(entry.index, entry.spec, entry.attempt, None, failure)
-            for index, spec, attempt, _ in pending:
-                if isinstance(spec, BatchGroup):
-                    settle_batch(
-                        index,
-                        spec,
-                        attempt,
-                        {},
-                        None,
-                        cut=True,
-                        cut_phase="pending",
-                    )
-                    continue
-                failure = CellFailure(
-                    kind=FailureKind.DEADLINE,
-                    message=(
-                        f"never started: campaign hit its "
-                        f"{float(deadline):.1f}s deadline"
-                    ),
-                    cell=spec.describe(),
-                    attempts=attempt,
-                    detail={
-                        "deadline_seconds": float(deadline),
-                        "phase": "pending",
-                    },
-                )
-                settle(index, spec, attempt, None, failure)
-
-        # Groups append solo-retry outcomes past ``len(specs)``; the sorted
-        # index walk keeps the per-spec prefix in order and the extras after.
-        return [outcomes[index] for index in sorted(outcomes)]
+        return [outcomes[slot] for slot in range(total)]

@@ -208,23 +208,17 @@ class SweepRunner:
         self.trace_store = trace_store or TraceStore(self.store.root / "traces")
         self.precompile = precompile
 
-    def _precompile(self, cells: Sequence[CellSpec], resume: bool) -> int:
-        """Compile every distinct trace the pending cells need; returns builds.
+    def _precompile(self, cells: Sequence[CellSpec]) -> int:
+        """Compile every distinct trace ``cells`` need; returns builds.
 
-        Cells whose results are already durable don't need their trace.
         Unknown workload names (e.g. synthetic cells in tests) are skipped —
         the worker will report the real error with full context.
         """
         from repro.sim.simulator import default_num_ops, get_trace
         from repro.workloads.spec2017 import workload
 
-        pending = [
-            cell
-            for cell in cells
-            if not (resume and self.store.contains(cell.key()))
-        ]
         unique: Dict[tuple, CellSpec] = {}
-        for cell in pending:
+        for cell in cells:
             unique.setdefault((cell.workload, cell.seed, cell.num_ops), cell)
         built = 0
         for (name, seed, num_ops), _ in unique.items():
@@ -241,18 +235,20 @@ class SweepRunner:
         return built
 
     def _plan_jobs(
-        self, cells: Sequence[CellSpec], resume: bool, quarantine: bool
+        self, cells: Sequence[CellSpec], pending: "set[str]"
     ) -> List[object]:
-        """Group pending batch-covered cells by trace into worker units.
+        """Group pending batch-covered cells by trace into worker jobs.
 
-        Cells whose backend batches (anything but ``reference``) and whose
-        spec the backend covers natively are grouped by input trace —
-        (workload, seed, num_ops) — into :class:`BatchGroup` jobs, so one
-        worker decodes the trace once for the whole group. Everything else
-        (reference cells, uncovered specs, cached or quarantined cells,
-        singleton groups) stays a solo cell: the executor's resume and
-        quarantine logic only sees solo jobs, and per-cell store entries
-        are preserved either way.
+        Cells whose digest is in ``pending`` (the store did not hold them
+        when the run began), whose backend batches (anything but
+        ``reference``) and whose spec the backend covers natively are
+        grouped by input trace — (backend, workload, seed, num_ops,
+        trace_dir) — into :class:`BatchGroup` jobs, so one worker decodes
+        the trace once for the whole group. Everything else stays a
+        one-item job: reference cells keep their parallelism, and uncovered
+        specs, singletons and already-stored cells gain nothing from a
+        group. Whether a cell is cached or quarantined is decided by the
+        executor alone, per cell, groups included.
         """
         from repro.sim.backends import default_backend_name, get_backend
 
@@ -261,20 +257,14 @@ class SweepRunner:
         for cell in cells:
             backend_name = cell.backend or default_backend_name()
             grouped = False
-            if backend_name != "reference":
-                pending = not (resume and self.store.contains(cell.key()))
-                if pending and quarantine:
-                    pending = self.store.get_failure(cell.key()) is None
-                if pending:
-                    try:
-                        backend = get_backend(backend_name)
-                        spec = cell.run_spec(
-                            check_invariants=self.executor.check_invariants
-                            or None
-                        )
-                        grouped = backend.covers(spec)
-                    except Exception:
-                        grouped = False  # unknown backend: fail solo, clearly
+            if backend_name != "reference" and cell.key().digest in pending:
+                try:
+                    spec = cell.run_spec(
+                        check_invariants=self.executor.check_invariants or None
+                    )
+                    grouped = get_backend(backend_name).covers(spec)
+                except Exception:
+                    grouped = False  # unknown backend: fail solo, clearly
             if grouped:
                 key = (
                     backend_name,
@@ -292,41 +282,6 @@ class SweepRunner:
             else:
                 jobs.extend(members)
         return jobs
-
-    def _flatten(
-        self, cells: Sequence[CellSpec], outcomes: Sequence[CellOutcome]
-    ) -> List[CellOutcome]:
-        """Map executor outcomes (groups + solo retries) back to cell order.
-
-        Group shells are discarded after their per-cell outcomes are
-        extracted; solo retries appended past the job list land in the same
-        per-cell buckets. The result is exactly one outcome per input cell,
-        in input order — the shape every report consumer expects.
-        """
-        by_digest: Dict[str, List[CellOutcome]] = {}
-        for outcome in outcomes:
-            if isinstance(outcome.spec, BatchGroup):
-                for sub in outcome.cells or []:
-                    by_digest.setdefault(sub.spec.key().digest, []).append(sub)
-            else:
-                by_digest.setdefault(outcome.spec.key().digest, []).append(outcome)
-        flat: List[CellOutcome] = []
-        for cell in cells:
-            bucket = by_digest.get(cell.key().digest)
-            if bucket:
-                flat.append(bucket.pop(0))
-            else:
-                flat.append(
-                    CellOutcome(
-                        spec=cell,
-                        failure=CellFailure(
-                            kind=FailureKind.ERROR,
-                            message="cell settled without an outcome",
-                            cell=cell.describe(),
-                        ),
-                    )
-                )
-        return flat
 
     #: Poll interval while waiting on cells leased to a peer process.
     peer_poll_seconds = 0.25
@@ -371,27 +326,18 @@ class SweepRunner:
         held = claimed  # the live set: reclaimed digests renew too
         digest_cache: Dict[int, str] = {}
 
-        def digest_of(spec) -> Optional[str]:
-            cached = digest_cache.get(id(spec))
-            if cached is None and hasattr(spec, "key"):
-                cached = spec.key().digest
-                digest_cache[id(spec)] = cached
-            return cached
+        def digest_of(item) -> str:
+            digest = digest_cache.get(id(item))
+            if digest is None:
+                digest = digest_cache[id(item)] = item.key().digest
+            return digest
 
-        def renewing(job, window) -> None:
-            spec = job
-            if isinstance(job, BatchGroup):
-                index = window.get("cell")
-                spec = (
-                    job.cells[index]
-                    if index is not None and 0 <= index < len(job.cells)
-                    else None
-                )
-            digest = None if spec is None else digest_of(spec)
+        def renewing(item, window) -> None:
+            digest = digest_of(item)
             if digest in held:
                 leases.renew(digest)
             if heartbeat is not None:
-                heartbeat(job, window)
+                heartbeat(item, window)
 
         return renewing
 
@@ -537,33 +483,36 @@ class SweepRunner:
         scope = chaos.installed() if chaos is not None else contextlib.nullcontext()
         cutoff = None if deadline is None else time.monotonic() + float(deadline)
         all_cells: Sequence[CellSpec] = cells
-        surrogate_outcomes: Dict[str, CellOutcome] = {}
+        # Digests the store does not hold yet: what triage, precompile and
+        # grouping work on. Cached cells still flow through the executor,
+        # which settles them (and quarantined ones) as it does every cell.
+        pending = {
+            cell.key().digest
+            for cell in cells
+            if not (resume and self.store.contains(cell.key()))
+        }
+        settled: List[CellOutcome] = []
         if surrogate is not None and surrogate.mode != "off":
-            pending = [
-                cell
-                for cell in cells
-                if not (resume and self.store.contains(cell.key()))
-            ]
-            settled = surrogate.triage(pending)
-            for cell in pending:
-                digest = cell.key().digest
-                estimate = settled.get(digest)
-                if estimate is not None and digest not in surrogate_outcomes:
+            estimates = surrogate.triage(
+                [cell for cell in cells if cell.key().digest in pending]
+            )
+            for cell in cells:
+                estimate = estimates.get(cell.key().digest)
+                if estimate is not None:
                     outcome = CellOutcome(spec=cell, estimate=estimate)
-                    surrogate_outcomes[digest] = outcome
+                    settled.append(outcome)
                     if progress:
                         progress(outcome)
-            if surrogate_outcomes:
-                cells = [
-                    cell
-                    for cell in cells
-                    if cell.key().digest not in surrogate_outcomes
-                ]
+            if estimates:
+                pending -= set(estimates)
+                cells = [cell for cell in cells if cell.key().digest not in estimates]
         with scope:
             precompiled = 0
             rebuilds = None
             if self.precompile:
-                precompiled = self._precompile(cells, resume=resume)
+                precompiled = self._precompile(
+                    [cell for cell in cells if cell.key().digest in pending]
+                )
                 trace_dir = str(self.trace_store.root)
                 cells = [
                     cell if cell.trace_dir else replace(cell, trace_dir=trace_dir)
@@ -578,10 +527,10 @@ class SweepRunner:
                     cells, leases, resume=resume
                 )
                 heartbeat = self._renewing_heartbeat(heartbeat, leases, claimed)
-            jobs = self._plan_jobs(run_cells, resume=resume, quarantine=quarantine)
+            jobs = self._plan_jobs(run_cells, pending)
             peer_completed = 0
             try:
-                outcomes = self.executor.run_many(
+                settled += self.executor.run_many(
                     jobs,
                     store=self.store,
                     resume=resume,
@@ -613,29 +562,14 @@ class SweepRunner:
                 peer_completed = sum(
                     1 for outcome in peer_outcomes if outcome.ok and outcome.cached
                 )
-                outcomes = list(outcomes) + peer_outcomes
-            outcomes = self._flatten(cells, outcomes)
+                settled += peer_outcomes
             if self.precompile:
                 rebuilds = self.trace_store.rebuild_count() - rebuilds_before
-        if surrogate_outcomes:
-            # Re-interleave settled estimates into input cell order, the
-            # shape report consumers expect from _flatten.
-            by_digest: Dict[str, List[CellOutcome]] = {}
-            for outcome in outcomes:
-                by_digest.setdefault(
-                    outcome.spec.key().digest, []
-                ).append(outcome)
-            merged: List[CellOutcome] = []
-            for cell in all_cells:
-                digest = cell.key().digest
-                settled_outcome = surrogate_outcomes.pop(digest, None)
-                if settled_outcome is not None:
-                    merged.append(settled_outcome)
-                    continue
-                bucket = by_digest.get(digest)
-                if bucket:
-                    merged.append(bucket.pop(0))
-            outcomes = merged
+        # Back to input cell order: every cell has exactly one outcome.
+        by_digest: Dict[str, List[CellOutcome]] = {}
+        for outcome in settled:
+            by_digest.setdefault(outcome.spec.key().digest, []).append(outcome)
+        outcomes = [by_digest[cell.key().digest].pop(0) for cell in all_cells]
         report = SweepReport(
             outcomes=outcomes,
             trace_rebuilds=rebuilds,

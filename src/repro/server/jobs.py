@@ -691,15 +691,8 @@ class JobManager:
                 attempts=cell.attempts,
             )
 
-        def heartbeat(worker_job, window) -> None:
-            digest = None
-            if hasattr(worker_job, "cells"):  # a BatchGroup: window names the cell
-                index = window.get("cell")
-                if index is not None and 0 <= index < len(worker_job.cells):
-                    digest = worker_job.cells[index].key().digest
-            elif hasattr(worker_job, "key"):
-                digest = worker_job.key().digest
-            cell = None if digest is None else job.cell_for(digest)
+        def heartbeat(item, window) -> None:
+            cell = job.cell_for(item.key().digest)
             if cell is None:
                 return
             if cell.state == "pending":

@@ -23,12 +23,12 @@ results and never block.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.sim.backends._numpy import have_numpy, numpy_version
 from repro.sim.backends.base import Backend, OnHeartbeat, OnResult
 from repro.sim.backends.engine import TracePrep, run_fused_cell
-from repro.sim.backends.reference import execute_reference
+from repro.sim.backends.reference import execute_reference, window_streamer
 from repro.sim.metrics import SimResult
 from repro.sim.spec import RunSpec
 
@@ -199,17 +199,13 @@ class BatchBackend(Backend):
         orders merely suboptimal, not incorrect). ``on_result`` fires per
         completed cell; ``on_heartbeat`` receives interval windows at
         ``spec.interval_ops`` (or ``heartbeat_ops``) cadence — heartbeat-only
-        windows are streamed but never attached to the ``SimResult``,
-        matching the reference worker's probe wiring.
+        windows are streamed but never attached to the ``SimResult`` — and
+        so do the reference fallbacks of uncovered specs.
         """
         results: List[SimResult] = []
         for index, spec in enumerate(specs):
+            on_window = window_streamer(index, on_heartbeat)
             if self.covers(spec):
-                on_window = None
-                if on_heartbeat is not None:
-                    on_window = lambda window, _i=index: on_heartbeat(
-                        _i, window.to_dict()
-                    )
                 result = self._run_covered(
                     spec,
                     self._prep_for(spec),
@@ -217,7 +213,7 @@ class BatchBackend(Backend):
                     heartbeat_ops=heartbeat_ops,
                 )
             else:
-                result = execute_reference(spec)
+                result = execute_reference(spec, on_window, heartbeat_ops)
             results.append(result)
             if on_result is not None:
                 on_result(index, result)

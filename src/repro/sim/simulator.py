@@ -9,26 +9,19 @@ Trace length defaults to :func:`default_num_ops` and can be raised globally
 with the ``REPRO_TRACE_OPS`` environment variable for higher-fidelity runs
 (the paper simulates 100M-instruction intervals; these profiles are
 stationary, so tens of thousands of micro-ops reach steady state). The
-environment is read at *call* time, so overrides set after import — by
-harness worker subprocesses, or tests via ``monkeypatch.setenv`` — take
-effect; the legacy ``DEFAULT_NUM_OPS``/``DEFAULT_WARMUP_OPS`` module
-attributes resolve dynamically via PEP 562 for the same reason (but a
-``from ... import DEFAULT_NUM_OPS`` still freezes the value at the import
-site — prefer the functions).
+environment is read at *call* time (:func:`default_num_ops`,
+:func:`default_warmup_ops`), so overrides set after import — by harness
+worker subprocesses, or tests via ``monkeypatch.setenv`` — take effect.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from repro.common.env import env_int
 from repro.common.lru import CacheInfo, LRUCache
-from repro.core.config import CoreConfig
 from repro.core.pipeline import Pipeline
 from repro.core.probes import Probe
-from repro.frontend.branch_predictors import BranchPredictor
 from repro.frontend.tage import TAGEPredictor
 from repro.isa.artifacts import TraceStore, default_trace_store, trace_key
 from repro.isa.trace import Trace
@@ -67,82 +60,25 @@ def default_warmup_ops() -> int:
     return env_int("REPRO_WARMUP_OPS", _FALLBACK_WARMUP_OPS, min_value=0)
 
 
-def __getattr__(name: str) -> int:
-    # PEP 562: the legacy module-level constants, resolved per access so the
-    # environment is never frozen at import time.
-    if name == "DEFAULT_NUM_OPS":
-        return default_num_ops()
-    if name == "DEFAULT_WARMUP_OPS":
-        return default_warmup_ops()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-class _PredictorRegistry(Dict[str, Callable[[], MDPredictor]]):
-    """The predictor registry, with deprecation warnings on raw mutation.
-
-    Reads (lookup, iteration, membership) behave exactly like a dict.
-    Writing through dict syntax still works but warns — use
-    :func:`register_predictor` / :func:`unregister_predictor` instead, which
-    validate the name and keep error messages consistent.
-    """
-
-    def _warn(self, how: str) -> None:
-        warnings.warn(
-            f"mutating PREDICTOR_FACTORIES via {how} is deprecated; "
-            "use register_predictor()/unregister_predictor()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __setitem__(self, name, factory) -> None:
-        self._warn(f"PREDICTOR_FACTORIES[{name!r}] = ...")
-        super().__setitem__(name, factory)
-
-    def __delitem__(self, name) -> None:
-        self._warn(f"del PREDICTOR_FACTORIES[{name!r}]")
-        super().__delitem__(name)
-
-    def update(self, *args, **kwargs) -> None:
-        self._warn("update()")
-        super().update(*args, **kwargs)
-
-    def setdefault(self, name, default=None):
-        self._warn("setdefault()")
-        return super().setdefault(name, default)
-
-    def pop(self, *args):
-        self._warn("pop()")
-        return super().pop(*args)
-
-    def popitem(self):
-        self._warn("popitem()")
-        return super().popitem()
-
-    def clear(self) -> None:
-        self._warn("clear()")
-        super().clear()
-
-
 #: Named predictor factories (fresh instance per call). Read freely; mutate
 #: via register_predictor()/unregister_predictor().
-PREDICTOR_FACTORIES: Dict[str, Callable[[], MDPredictor]] = _PredictorRegistry(
-    {
-        "ideal": IdealPredictor,
-        "always-speculate": AlwaysSpeculatePredictor,
-        "always-wait": AlwaysWaitPredictor,
-        "store-sets": StoreSetsPredictor,
-        "store-vector": StoreVectorPredictor,
-        "cht": CHTPredictor,
-        "nosq": NoSQPredictor,
-        "mdp-tage": MDPTagePredictor,
-        "mdp-tage-s": MDPTagePredictor.tage_s,
-        "phast": PHASTPredictor,
-        "perceptron-mdp": PerceptronMDPredictor,
-        "omnipredictor": OmniPredictor,
-        "unlimited-phast": UnlimitedPHASTPredictor,
-        "unlimited-nosq": UnlimitedNoSQPredictor,
-        "unlimited-mdp-tage": UnlimitedMDPTagePredictor,
-    }
-)
+PREDICTOR_FACTORIES: Dict[str, Callable[[], MDPredictor]] = {
+    "ideal": IdealPredictor,
+    "always-speculate": AlwaysSpeculatePredictor,
+    "always-wait": AlwaysWaitPredictor,
+    "store-sets": StoreSetsPredictor,
+    "store-vector": StoreVectorPredictor,
+    "cht": CHTPredictor,
+    "nosq": NoSQPredictor,
+    "mdp-tage": MDPTagePredictor,
+    "mdp-tage-s": MDPTagePredictor.tage_s,
+    "phast": PHASTPredictor,
+    "perceptron-mdp": PerceptronMDPredictor,
+    "omnipredictor": OmniPredictor,
+    "unlimited-phast": UnlimitedPHASTPredictor,
+    "unlimited-nosq": UnlimitedNoSQPredictor,
+    "unlimited-mdp-tage": UnlimitedMDPTagePredictor,
+}
 
 
 def register_predictor(
@@ -166,12 +102,12 @@ def register_predictor(
             f"predictor {name!r} is already registered; pass replace=True "
             "to override it"
         )
-    dict.__setitem__(PREDICTOR_FACTORIES, name, factory)
+    PREDICTOR_FACTORIES[name] = factory
 
 
 def unregister_predictor(name: str) -> None:
     """Remove a registered predictor (KeyError if absent)."""
-    dict.__delitem__(PREDICTOR_FACTORIES, name)
+    del PREDICTOR_FACTORIES[name]
 
 
 def available_predictors() -> Tuple[str, ...]:
@@ -338,69 +274,19 @@ def simulate_batch(
     )
 
 
-def simulate(
-    workload: Union[RunSpec, str, WorkloadProfile],
-    predictor: Optional[Union[str, MDPredictor]] = None,
-    config: Optional[CoreConfig] = None,
-    num_ops: Optional[int] = None,
-    branch_predictor: Optional[BranchPredictor] = None,
-    warmup_ops: Optional[int] = None,
-    check_invariants: Optional[bool] = None,
-    probes: Optional[Iterable[Probe]] = None,
-    interval_ops: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> SimResult:
-    """Run one (workload, predictor, core) simulation and return its result.
-
-    The canonical form takes a single :class:`~repro.sim.spec.RunSpec`::
+def simulate(spec: RunSpec, *args, **kwargs) -> SimResult:
+    """Run one :class:`~repro.sim.spec.RunSpec` and return its result::
 
         simulate(RunSpec("511.povray", "phast", num_ops=50_000))
 
-    The legacy kwargs form (``simulate("511.povray", "phast", ...)``) is a
-    deprecated shim that packs its arguments into a ``RunSpec`` — it
-    produces bit-identical results, but it emits a ``DeprecationWarning``
-    naming the exact replacement call; build the spec directly.
-
-    ``warmup_ops`` micro-ops execute (training predictors and warming caches)
-    but are excluded from every statistic — the steady-state methodology.
-
-    ``check_invariants`` enables the simulator's self-checks
-    (:mod:`repro.sim.invariants`); None defers to REPRO_CHECK_INVARIANTS.
-
-    ``probes`` attaches additional observers to the pipeline's probe bus.
-    ``interval_ops`` additionally attaches an
-    :class:`~repro.sim.intervals.IntervalMetricsProbe` and surfaces its
-    windows on ``SimResult.intervals``.
+    The spec carries everything: core config, trace length, warm-up
+    (``warmup_ops`` micro-ops train predictors and warm caches but are
+    excluded from every statistic), invariant checking, extra probes and
+    ``interval_ops`` windows (surfaced on ``SimResult.intervals``).
     """
-    if isinstance(workload, RunSpec):
-        if predictor is not None:
-            raise TypeError(
-                "simulate(spec) takes no further arguments; use "
-                "spec.with_overrides(...) to vary a RunSpec"
-            )
-        return run_spec(workload)
-    if predictor is None:
-        raise TypeError("simulate() missing required argument: 'predictor'")
-    workload_repr = workload if isinstance(workload, str) else workload.name
-    predictor_repr = predictor if isinstance(predictor, str) else "<predictor>"
-    warnings.warn(
-        "simulate(workload, predictor, ...) kwargs are deprecated; call "
-        f"simulate(RunSpec({workload_repr!r}, {predictor_repr!r}, ...)) "
-        "instead (from repro.api import RunSpec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_spec(
-        RunSpec(
-            workload=workload,
-            predictor=predictor,
-            config=config,
-            num_ops=num_ops,
-            warmup_ops=warmup_ops,
-            seed=seed,
-            check_invariants=check_invariants,
-            probes=tuple(probes or ()),
-            interval_ops=interval_ops,
-            branch_predictor=branch_predictor,
+    if args or kwargs or not isinstance(spec, RunSpec):
+        raise TypeError(
+            "simulate() takes a single RunSpec: simulate(RunSpec(workload, "
+            "predictor, ...)); use spec.with_overrides(...) to vary one"
         )
-    )
+    return run_spec(spec)

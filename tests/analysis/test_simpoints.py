@@ -112,6 +112,10 @@ class TestSimulateSimpoints:
                 warmup_fraction=1.0,
             )
 
+    def test_removed_positional_form_names_the_spec_form(self):
+        with pytest.raises(TypeError, match=r"simulate_simpoints\(RunSpec\("):
+            simulate_simpoints("511.povray", "phast", 12000, 3000)
+
     def test_point_detail_consistent(self):
         sampled = simulate_simpoints(
             RunSpec(workload="511.povray", predictor="phast", num_ops=12000),
@@ -120,20 +124,3 @@ class TestSimulateSimpoints:
         )
         assert len(sampled.points) == len(sampled.point_ipcs)
         assert all(ipc > 0 for ipc in sampled.point_ipcs)
-
-    def test_legacy_positional_form_warns_and_matches_spec_form(self):
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"simulate_simpoints\(RunSpec\('511\.povray', 'phast', "
-            r"num_ops=12000\), interval_ops=3000\)",
-        ):
-            legacy = simulate_simpoints(
-                "511.povray", "phast", total_ops=12000, interval_ops=3000,
-                max_clusters=3,
-            )
-        via_spec = simulate_simpoints(
-            RunSpec(workload="511.povray", predictor="phast", num_ops=12000),
-            interval_ops=3000,
-            max_clusters=3,
-        )
-        assert legacy == via_spec

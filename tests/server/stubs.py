@@ -13,7 +13,7 @@ import time
 from typing import List, Optional
 
 from repro.core.pipeline import PipelineStats
-from repro.harness.executor import BatchGroup, CellOutcome
+from repro.harness.executor import CellOutcome, _items
 from repro.harness.failures import CellFailure, FailureKind
 from repro.mdp.base import MDPStats
 from repro.sim.metrics import SimResult
@@ -80,17 +80,14 @@ class FabricatingExecutor:
             raise RuntimeError("test gate never opened")
         outcomes = []
         for job in jobs:
-            members = list(job.cells) if isinstance(job, BatchGroup) else [job]
-            for index, cell in enumerate(members):
-                outcome = self._run_cell(
-                    job, index, cell, store, resume, heartbeat, stop
-                )
+            for cell in _items(job):
+                outcome = self._run_cell(cell, store, resume, heartbeat, stop)
                 outcomes.append(outcome)
                 if progress is not None:
                     progress(outcome)
         return outcomes
 
-    def _run_cell(self, job, index, cell, store, resume, heartbeat, stop):
+    def _run_cell(self, cell, store, resume, heartbeat, stop):
         key = cell.key()
         if resume and store is not None and store.contains(key):
             return CellOutcome(spec=cell, result=store.get(key), cached=True)
@@ -105,10 +102,7 @@ class FabricatingExecutor:
                 ),
             )
         if self.heartbeats and heartbeat is not None:
-            window = {"end_op": 100, "ipc": 2.0}
-            if isinstance(job, BatchGroup):
-                window["cell"] = index
-            heartbeat(job, window)
+            heartbeat(cell, {"end_op": 100, "ipc": 2.0})
         if self.delay:
             time.sleep(self.delay)
         result = fabricate_result(cell)

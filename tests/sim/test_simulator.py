@@ -78,18 +78,6 @@ class TestRegistryAPI:
         assert list(names) == sorted(names)
         assert set(names) == set(PREDICTOR_FACTORIES)
 
-    def test_direct_dict_write_warns(self):
-        with pytest.warns(DeprecationWarning, match="register_predictor"):
-            PREDICTOR_FACTORIES["test-direct"] = IdealPredictor
-        with pytest.warns(DeprecationWarning):
-            del PREDICTOR_FACTORIES["test-direct"]
-
-    def test_direct_dict_update_and_pop_warn(self):
-        with pytest.warns(DeprecationWarning):
-            PREDICTOR_FACTORIES.update({"test-upd": IdealPredictor})
-        with pytest.warns(DeprecationWarning):
-            PREDICTOR_FACTORIES.pop("test-upd")
-
     def test_reads_do_not_warn(self, recwarn):
         assert "phast" in PREDICTOR_FACTORIES
         list(PREDICTOR_FACTORIES.items())

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import CoreConfig
 from repro.harness.store import cell_key
 from repro.isa.artifacts import trace_key
-from repro.sim.simulator import default_num_ops, make_predictor, run_spec, simulate
+from repro.sim.simulator import default_num_ops, make_predictor, simulate
 from repro.sim.spec import RunSpec
 from repro.workloads.spec2017 import workload
 
@@ -93,26 +93,8 @@ class TestWithOverrides:
 
 
 class TestLegacyShim:
-    def test_legacy_kwargs_and_spec_give_identical_results(self):
-        with pytest.warns(DeprecationWarning, match=r"simulate\(RunSpec\("):
-            legacy = simulate(
-                "511.povray", "store-sets",
-                num_ops=OPS, warmup_ops=0, seed=2, check_invariants=True,
-            )
-        spec = RunSpec(
-            workload="511.povray", predictor="store-sets",
-            num_ops=OPS, warmup_ops=0, seed=2, check_invariants=True,
-        )
-        via_spec = simulate(spec)
-        via_run_spec = run_spec(spec)
-        assert legacy.to_record() == via_spec.to_record()
-        assert legacy.to_record() == via_run_spec.to_record()
-
-    def test_legacy_kwargs_warning_names_exact_replacement(self):
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"simulate\(RunSpec\('511\.povray', 'ideal', \.\.\.\)\)",
-        ):
+    def test_removed_kwargs_form_names_the_spec_form(self):
+        with pytest.raises(TypeError, match=r"simulate\(RunSpec\("):
             simulate("511.povray", "ideal", num_ops=OPS)
 
     def test_spec_plus_predictor_kwarg_rejected(self):
