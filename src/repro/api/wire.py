@@ -37,7 +37,7 @@ from repro.core.config import GENERATIONS, CoreConfig
 from repro.isa.microop import OpKind
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig
-from repro.sim.spec import RunSpec
+from repro.sim.spec import RunSpec, build_cells
 from repro.workloads.generator import WorkloadProfile
 
 #: The wire-format version this build speaks. Bump only on an incompatible
@@ -390,7 +390,7 @@ def spec_from_wire(payload: object) -> RunSpec:
     Enforces the schema rules documented at module level: version pinning,
     unknown-key rejection (with a nearest-spelling hint), per-field type
     checks. Registry *name* validation (does this predictor exist?) is the
-    submission boundary's job — :func:`repro.server.jobs.validate_names` —
+    submission boundary's job — :func:`repro.sim.spec.validate_names` —
     so the codec stays usable for offline round trips.
     """
     if not isinstance(payload, Mapping):
@@ -460,18 +460,14 @@ class WireGrid:
 
     def specs(self) -> List[RunSpec]:
         """The grid expanded to one :class:`RunSpec` per cell, in grid order."""
-        return [
-            RunSpec(
-                workload=workload,
-                predictor=predictor,
-                config=self.config,
-                num_ops=self.num_ops or None,
-                seed=self.seed,
-                backend=self.backend,
-            )
-            for workload in self.workloads
-            for predictor in self.predictors
-        ]
+        return build_cells(
+            self.workloads,
+            self.predictors,
+            config=self.config,
+            num_ops=self.num_ops,
+            seed=self.seed,
+            backend=self.backend,
+        )
 
 
 def _name_list(payload: Mapping[str, object], key: str) -> Tuple[str, ...]:

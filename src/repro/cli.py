@@ -43,17 +43,17 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.export import dump_results, intervals_to_records
 from repro.analysis.report import format_table
 from repro.common.atomicio import atomic_write_text
 from repro.common.stats import geometric_mean
-from repro.core.config import GENERATIONS, CoreConfig
+from repro.core.config import GENERATIONS
 from repro.harness.chaos import FaultPlan
 from repro.harness.executor import ProcessCellExecutor
 from repro.harness.store import ResultStore
-from repro.harness.sweep import SweepRunner, build_cells
+from repro.harness.sweep import SweepRunner
 from repro.isa.artifacts import ENV_TRACE_STORE, CheckpointStore, TraceStore
 from repro.mdp.storage import format_table2
 from repro.sampling import (
@@ -64,7 +64,7 @@ from repro.sampling import (
 from repro.sim.backends import available_backends, get_backend
 from repro.sim.experiment import ExperimentGrid
 from repro.sim.intervals import DEFAULT_INTERVAL_OPS
-from repro.sim.spec import RunSpec
+from repro.sim.spec import RunSpec, build_cells, validate_names
 from repro.sim.simulator import (
     available_predictors,
     default_num_ops,
@@ -86,25 +86,54 @@ def _default_trace_store() -> str:
     return os.path.join(os.environ.get(ENV_STORE, DEFAULT_STORE), "traces")
 
 
-def _core_config(name: str) -> CoreConfig:
-    try:
-        return GENERATIONS[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown core {name!r}; available: {', '.join(sorted(GENERATIONS))}"
-        )
+def _spec(args: argparse.Namespace, **overrides) -> RunSpec:
+    """The one cell a ``<workload> <predictor>`` command names."""
+    return RunSpec(
+        workload=args.workload,
+        predictor=args.predictor,
+        config=GENERATIONS[args.core],
+        num_ops=args.num_ops,
+        seed=args.seed,
+        **overrides,
+    )
+
+
+def _workloads(args: argparse.Namespace) -> List[str]:
+    """``--workloads`` when the command has it and it was given, else the
+    first ``--subset`` suite workloads."""
+    names = getattr(args, "workloads", None)
+    return names.split(",") if names else spec_suite(subset=args.subset)
+
+
+def _cells(
+    args: argparse.Namespace,
+    seed: Optional[int],
+    backend: Optional[str] = None,
+    check: bool = True,
+) -> List[RunSpec]:
+    """The command's (workloads × predictors) grid; ``check`` rejects
+    names the local registries do not know."""
+    cells = build_cells(
+        _workloads(args),
+        args.predictors.split(","),
+        config=GENERATIONS[args.core],
+        num_ops=args.num_ops,
+        seed=seed,
+        backend=backend,
+    )
+    if check:
+        from repro.api.wire import WireError  # not at import: keeps startup lean
+
+        try:
+            validate_names(cells)
+        except WireError as exc:
+            raise SystemExit(str(exc)) from None
+    return cells
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     result = simulate(
-        RunSpec(
-            workload=args.workload,
-            predictor=args.predictor,
-            config=_core_config(args.core),
-            num_ops=args.num_ops,
-            seed=args.seed,
-            check_invariants=True if args.check_invariants else None,
-        )
+        _spec(args, check_invariants=True if args.check_invariants else None)
     )
     print(result.summary())
     stats = result.pipeline
@@ -122,16 +151,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    result = simulate(
-        RunSpec(
-            workload=args.workload,
-            predictor=args.predictor,
-            config=_core_config(args.core),
-            num_ops=args.num_ops,
-            seed=args.seed,
-            interval_ops=args.interval_ops,
-        )
-    )
+    result = simulate(_spec(args, interval_ops=args.interval_ops))
     rows = []
     for window in result.intervals:
         ops = f"{window.start_op}-{window.end_op}" + ("*" if window.partial else "")
@@ -165,27 +185,19 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    workloads = spec_suite(subset=args.subset)
+    cells = _cells(args, args.seed)
     predictors: List[str] = args.predictors.split(",")
-    for name in predictors:
-        if name not in available_predictors():
-            raise SystemExit(f"unknown predictor {name!r}")
     grid = ExperimentGrid(num_ops=args.num_ops)
-    config = _core_config(args.core)
-    ideal = {
-        name: grid.run(name, "ideal", config, seed=args.seed) for name in workloads
-    }
-
-    rows = []
-    normalized = {name: [] for name in predictors}
-    for workload_name in workloads:
-        row: List[object] = [workload_name]
-        for name in predictors:
-            result = grid.run(workload_name, name, config, seed=args.seed)
-            ratio = result.ipc / ideal[workload_name].ipc
-            normalized[name].append(ratio)
-            row.append(ratio)
-        rows.append(row)
+    config = GENERATIONS[args.core]
+    by_workload: Dict[str, List[object]] = {}
+    normalized: Dict[str, List[float]] = {name: [] for name in predictors}
+    for cell in cells:
+        ideal = grid.run(cell.workload, "ideal", config, seed=cell.seed)
+        result = grid.run(cell.workload, cell.predictor, config, seed=cell.seed)
+        ratio = result.ipc / ideal.ipc
+        normalized[cell.predictor].append(ratio)
+        by_workload.setdefault(cell.workload, [cell.workload]).append(ratio)
+    rows = list(by_workload.values())
     rows.append(["GEOMEAN"] + [geometric_mean(normalized[n]) for n in predictors])
     print(
         format_table(
@@ -239,12 +251,7 @@ def _cmd_table2(_: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    workloads = spec_suite(subset=args.subset)
-    predictors = args.predictors.split(",")
-    for name in predictors:
-        if name not in available_predictors():
-            raise SystemExit(f"unknown predictor {name!r}")
-    config = _core_config(args.core)
+    cells = _cells(args, args.seed)
     if args.provenance:
         # Provenance export: full RunSpec wire dicts plus interval records,
         # so a surrogate dataset built from this file featurizes exactly
@@ -252,26 +259,18 @@ def _cmd_export(args: argparse.Namespace) -> int:
         from repro.analysis.export import dump_provenance
         from repro.sim.simulator import run_spec
 
-        pairs = []
-        for name in workloads:
-            for predictor in predictors:
-                spec = RunSpec(
-                    workload=name,
-                    predictor=predictor,
-                    config=config,
-                    num_ops=args.num_ops,
-                    seed=args.seed,
-                    interval_ops=args.interval_ops or None,
-                )
-                pairs.append((spec, run_spec(spec)))
+        specs = [
+            cell.with_overrides(interval_ops=args.interval_ops or None)
+            for cell in cells
+        ]
+        pairs = [(spec, run_spec(spec)) for spec in specs]
         dump_provenance(pairs, args.output)
         print(f"wrote {len(pairs)} provenance records to {args.output}")
         return 0
     grid = ExperimentGrid(num_ops=args.num_ops)
     results = [
-        grid.run(workload, predictor, config, seed=args.seed)
-        for workload in workloads
-        for predictor in predictors
+        grid.run(cell.workload, cell.predictor, cell.config, seed=cell.seed)
+        for cell in cells
     ]
     dump_results(results, args.output)
     print(f"wrote {len(results)} records to {args.output}")
@@ -280,7 +279,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_trace_compile(args: argparse.Namespace) -> int:
     store = TraceStore(args.store)
-    names = args.workloads.split(",") if args.workloads else spec_suite(args.subset)
+    names = _workloads(args)
     for name in names:
         if name not in SPEC_PROFILES:
             raise SystemExit(f"unknown workload {name!r}")
@@ -529,21 +528,16 @@ def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     if model is None:
         raise SystemExit(f"model at {args.model} is missing or corrupt")
-    workloads = (
-        args.workloads.split(",") if args.workloads else spec_suite(args.subset)
-    )
-    predictors = args.predictors.split(",")
-    config = _core_config(args.core)
     estimates = []
     try:
-        for name in workloads:
-            for predictor in predictors:
-                predicted = model.predict_cell(
-                    name, predictor, config, args.num_ops, args.seed
-                )
-                predicted["workload"] = name
-                predicted["predictor"] = predictor
-                estimates.append(predicted)
+        # No name check: the model may know predictors this host does not.
+        for cell in _cells(args, args.seed, check=False):
+            predicted = model.predict_cell(
+                cell.workload, cell.predictor, cell.config, args.num_ops, cell.seed
+            )
+            predicted["workload"] = cell.workload
+            predicted["predictor"] = cell.predictor
+            estimates.append(predicted)
     except SurrogateError as exc:
         raise SystemExit(str(exc)) from exc
     if args.json:
@@ -573,19 +567,7 @@ def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    workloads = spec_suite(subset=args.subset)
-    predictors = args.predictors.split(",")
-    for name in predictors:
-        if name not in available_predictors():
-            raise SystemExit(f"unknown predictor {name!r}")
-    cells = build_cells(
-        workloads,
-        predictors,
-        config=_core_config(args.core),
-        num_ops=args.num_ops,
-        seed=args.seed,
-        backend=args.backend,
-    )
+    cells = _cells(args, args.seed, backend=args.backend)
     store = ResultStore(args.store)
     runner = SweepRunner(
         store,
@@ -664,14 +646,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.client import ServerError, SweepClient
 
     client = SweepClient(args.server, tenant=args.tenant)
-    workloads = (
-        args.workloads.split(",") if args.workloads else spec_suite(args.subset)
-    )
     try:
         receipt = client.submit_grid(
-            workloads,
+            _workloads(args),
             args.predictors.split(","),
-            config=_core_config(args.core),
+            config=GENERATIONS[args.core],
             num_ops=args.num_ops,
             seed=args.seed,
             check_invariants=args.check_invariants,
@@ -699,28 +678,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     the FailureKind it simulates, and (3) every surviving chaos result is
     bit-identical to its fault-free twin.
     """
-    workloads = spec_suite(subset=args.subset)
-    predictors = args.predictors.split(",")
-    for name in predictors:
-        if name not in available_predictors():
-            raise SystemExit(f"unknown predictor {name!r}")
-
+    cells = _cells(args, args.seed_trace)
     if args.plan:
         plan = FaultPlan.load(args.plan)
     else:
         plan = FaultPlan.transient(
             args.rate, seed=args.seed, max_faults=args.max_faults
         )
-    config = _core_config(args.core)
 
     def sweep(store_root: str, fault_plan) -> object:
-        cells = build_cells(
-            workloads,
-            predictors,
-            config=config,
-            num_ops=args.num_ops,
-            seed=args.seed_trace,
-        )
         runner = SweepRunner(
             ResultStore(store_root),
             ProcessCellExecutor(
@@ -733,7 +699,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
         return runner.run(cells, fault_plan=fault_plan)
 
-    total = len(workloads) * len(predictors)
+    total = len(cells)
     print(
         f"chaos soak: {total} cells, plan seed={plan.seed} "
         f"total-rate={plan.total_rate:.2f}"
@@ -778,12 +744,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    spec = RunSpec(
-        workload=args.workload,
-        predictor=args.predictor,
-        config=_core_config(args.core),
-        num_ops=args.num_ops,
-        seed=args.seed,
+    spec = _spec(
+        args,
         check_invariants=True if args.check_invariants else None,
         trace_dir=args.trace_store,
     )
@@ -824,6 +786,47 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec_flags(
+    parser: argparse.ArgumentParser,
+    num_ops: int,
+    core: bool = True,
+    seed: str = "--seed",
+) -> None:
+    """The run-shape flags: ``--num-ops``, ``--core`` (unless ``core`` is
+    False) and the trace-seed flag ``seed`` (``chaos`` calls it
+    ``--seed-trace``: its ``--seed`` seeds the fault plan)."""
+    parser.add_argument("--num-ops", type=int, default=num_ops)
+    if core:
+        parser.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
+    parser.add_argument(
+        seed, type=int, default=None, help="override the workload trace seed"
+    )
+
+
+def _grid_flags(
+    parser: argparse.ArgumentParser,
+    predictors: Optional[str],
+    subset: Optional[int] = None,
+    workloads: bool = False,
+) -> None:
+    """The grid-shape flags: ``--workloads`` (when asked for),
+    ``--predictors`` (when it has a default) and ``--subset``."""
+    if workloads:
+        parser.add_argument(
+            "--workloads",
+            default=None,
+            help="comma-separated workload names (default: the whole suite)",
+        )
+    if predictors:
+        parser.add_argument("--predictors", default=predictors)
+    parser.add_argument(
+        "--subset",
+        type=int,
+        default=subset,
+        help="only the first N suite workloads",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -848,11 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate one workload/predictor pair")
     run.add_argument("workload")
     run.add_argument("predictor", choices=available_predictors())
-    run.add_argument("--num-ops", type=int, default=num_ops_default)
-    run.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
-    run.add_argument(
-        "--seed", type=int, default=None, help="override the workload trace seed"
-    )
+    _spec_flags(run, num_ops_default)
     run.add_argument(
         "--check-invariants",
         action="store_true",
@@ -866,16 +865,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     probe.add_argument("workload")
     probe.add_argument("predictor", choices=available_predictors())
-    probe.add_argument("--num-ops", type=int, default=num_ops_default)
+    _spec_flags(probe, num_ops_default)
     probe.add_argument(
         "--interval-ops",
         type=int,
         default=DEFAULT_INTERVAL_OPS,
         help="committed micro-ops per metrics window",
-    )
-    probe.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
-    probe.add_argument(
-        "--seed", type=int, default=None, help="override the workload trace seed"
     )
     probe.add_argument(
         "--json", default=None, help="also write interval records to this path"
@@ -883,28 +878,16 @@ def build_parser() -> argparse.ArgumentParser:
     probe.set_defaults(func=_cmd_probe)
 
     suite = sub.add_parser("suite", help="predictor roster over the suite")
-    suite.add_argument(
-        "--predictors", default="store-sets,nosq,mdp-tage,mdp-tage-s,phast"
-    )
-    suite.add_argument("--num-ops", type=int, default=num_ops_default)
-    suite.add_argument("--subset", type=int, default=None)
-    suite.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
-    suite.add_argument(
-        "--seed", type=int, default=None, help="override every workload's trace seed"
-    )
+    _grid_flags(suite, "store-sets,nosq,mdp-tage,mdp-tage-s,phast")
+    _spec_flags(suite, num_ops_default)
     suite.set_defaults(func=_cmd_suite)
 
     sweep = sub.add_parser(
         "sweep",
         help="fault-tolerant resumable sweep with a durable result store",
     )
-    sweep.add_argument(
-        "--predictors", default="store-sets,nosq,mdp-tage,mdp-tage-s,phast,ideal"
-    )
-    sweep.add_argument("--num-ops", type=int, default=num_ops_default)
-    sweep.add_argument("--subset", type=int, default=None)
-    sweep.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
-    sweep.add_argument("--seed", type=int, default=None)
+    _grid_flags(sweep, "store-sets,nosq,mdp-tage,mdp-tage-s,phast,ideal")
+    _spec_flags(sweep, num_ops_default)
     sweep.add_argument(
         "--store",
         default=os.environ.get(ENV_STORE, DEFAULT_STORE),
@@ -1064,18 +1047,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="http://127.0.0.1:8321",
         help="base URL of the repro serve instance",
     )
-    submit.add_argument(
-        "--workloads",
-        default=None,
-        help="comma-separated workload names (default: the whole suite)",
+    _grid_flags(
+        submit, "store-sets,nosq,mdp-tage,mdp-tage-s,phast,ideal", workloads=True
     )
-    submit.add_argument(
-        "--predictors", default="store-sets,nosq,mdp-tage,mdp-tage-s,phast,ideal"
-    )
-    submit.add_argument("--subset", type=int, default=None)
-    submit.add_argument("--num-ops", type=int, default=num_ops_default)
-    submit.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
-    submit.add_argument("--seed", type=int, default=None)
+    _spec_flags(submit, num_ops_default)
     submit.add_argument("--check-invariants", action="store_true")
     submit.add_argument(
         "--backend", default=None, choices=available_backends()
@@ -1106,10 +1081,8 @@ def build_parser() -> argparse.ArgumentParser:
         "completion + classification + bit-identical results (exit 1 on "
         "any problem)",
     )
-    chaos.add_argument("--predictors", default="store-sets,phast")
-    chaos.add_argument("--num-ops", type=int, default=num_ops_default)
-    chaos.add_argument("--subset", type=int, default=2)
-    chaos.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
+    _grid_flags(chaos, "store-sets,phast", subset=2)
+    _spec_flags(chaos, num_ops_default, seed="--seed-trace")
     chaos.add_argument(
         "--rate",
         type=float,
@@ -1130,12 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan",
         default=None,
         help="JSON FaultPlan file; overrides --rate/--seed/--max-faults",
-    )
-    chaos.add_argument(
-        "--seed-trace",
-        type=int,
-        default=None,
-        help="override every workload's trace seed",
     )
     chaos.add_argument(
         "--store",
@@ -1167,11 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sample.add_argument("workload")
     sample.add_argument("predictor", choices=available_predictors())
-    sample.add_argument("--num-ops", type=int, default=num_ops_default)
-    sample.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
-    sample.add_argument(
-        "--seed", type=int, default=None, help="override the workload trace seed"
-    )
+    _spec_flags(sample, num_ops_default)
     sample.add_argument(
         "--interval-ops",
         type=int,
@@ -1230,14 +1193,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"trace store directory (default ${ENV_TRACE_STORE} or "
         f"{DEFAULT_STORE}/traces)",
     )
-    compile_cmd.add_argument(
-        "--workloads",
-        default=None,
-        help="comma-separated workload names (default: the whole suite)",
-    )
-    compile_cmd.add_argument("--subset", type=int, default=None)
-    compile_cmd.add_argument("--num-ops", type=int, default=num_ops_default)
-    compile_cmd.add_argument("--seed", type=int, default=None)
+    _grid_flags(compile_cmd, None, workloads=True)
+    _spec_flags(compile_cmd, num_ops_default, core=False)
     compile_cmd.set_defaults(func=_cmd_trace_compile)
 
     ls_cmd = trace_sub.add_parser("ls", help="list stored trace artifacts")
@@ -1274,15 +1231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export", help="run a sweep and write JSON records")
     export.add_argument("output", help="destination .json path")
-    export.add_argument(
-        "--predictors", default="store-sets,nosq,mdp-tage,mdp-tage-s,phast,ideal"
-    )
-    export.add_argument("--num-ops", type=int, default=num_ops_default)
-    export.add_argument("--subset", type=int, default=None)
-    export.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
-    export.add_argument(
-        "--seed", type=int, default=None, help="override every workload's trace seed"
-    )
+    _grid_flags(export, "store-sets,nosq,mdp-tage,mdp-tage-s,phast,ideal")
+    _spec_flags(export, num_ops_default)
     export.add_argument(
         "--provenance",
         action="store_true",
@@ -1399,20 +1349,10 @@ def build_parser() -> argparse.ArgumentParser:
         "predict", help="score a grid from the model alone (no simulation)"
     )
     surrogate_predict.add_argument("--model", required=True)
-    surrogate_predict.add_argument(
-        "--workloads",
-        default=None,
-        help="comma-separated workload names (default: the whole suite)",
+    _grid_flags(
+        surrogate_predict, "store-sets,nosq,mdp-tage,mdp-tage-s,phast", workloads=True
     )
-    surrogate_predict.add_argument(
-        "--predictors", default="store-sets,nosq,mdp-tage,mdp-tage-s,phast"
-    )
-    surrogate_predict.add_argument("--subset", type=int, default=None)
-    surrogate_predict.add_argument("--num-ops", type=int, default=num_ops_default)
-    surrogate_predict.add_argument(
-        "--core", default="alderlake", choices=sorted(GENERATIONS)
-    )
-    surrogate_predict.add_argument("--seed", type=int, default=None)
+    _spec_flags(surrogate_predict, num_ops_default)
     surrogate_predict.add_argument("--json", action="store_true")
     surrogate_predict.set_defaults(func=_cmd_surrogate_predict)
 

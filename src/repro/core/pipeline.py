@@ -39,15 +39,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Type
 
 from repro.core.config import CoreConfig
 
-# Re-exported for backwards compatibility: these structural helpers lived
-# here before the stage split and tests/extensions import them from this
-# module.
-from repro.core.context import (  # noqa: F401
-    SimContext,
-    _PortPool,
-    _StoreWindow,
-    _WidthCursor,
-)
+from repro.core.context import SimContext
 from repro.core.lsq import ForwardKind
 from repro.core.probes import (
     BranchResolved,

@@ -17,11 +17,7 @@ benchmark suite:
 """
 
 from repro.harness.chaos import ChaosEngine, FaultPlan
-from repro.harness.executor import (
-    CellOutcome,
-    CellSpec,
-    ProcessCellExecutor,
-)
+from repro.harness.executor import CellOutcome, ProcessCellExecutor
 from repro.harness.failures import (
     CellFailure,
     EPHEMERAL_KINDS,
@@ -44,7 +40,6 @@ __all__ = [
     "CellFailure",
     "CellKey",
     "CellOutcome",
-    "CellSpec",
     "ChaosEngine",
     "EPHEMERAL_KINDS",
     "FailureKind",

@@ -27,9 +27,9 @@ IPC collapsing" instead of just "timeout". ``run_many`` returns exactly one
 outcome per item, in input order.
 
 The executor is job-generic: the default worker simulates
-:class:`CellSpec` items, but any picklable job works with a custom
-``worker=`` callable of the same ``(conn, job, check_invariants)`` shape
-that speaks the protocol above. A job only needs ``describe()`` (for
+:class:`~repro.sim.spec.RunSpec` items, but any picklable job works with a
+custom ``worker=`` callable of the same ``(conn, job, check_invariants)``
+shape that speaks the protocol above. A job only needs ``describe()`` (for
 failure manifests); ``key()`` is required only when a ``store`` is passed
 to ``run_many``. ``repro.sampling`` uses this to fan checkpoint-restored
 interval runs out across workers without a parallel scheduler of its own.
@@ -41,12 +41,11 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing import connection, get_context
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.env import env_float, env_int
-from repro.core.config import CoreConfig
 from repro.harness.chaos import ChaosEngine, ChaosJob, _chaos_worker
 from repro.harness.failures import (
     EPHEMERAL_KINDS,
@@ -56,8 +55,9 @@ from repro.harness.failures import (
     classify_exitcode,
     jitter_fraction,
 )
-from repro.harness.store import CellKey, ResultStore, cell_key
+from repro.harness.store import ResultStore
 from repro.sim.metrics import SimResult
+from repro.sim.spec import RunSpec
 
 #: Environment defaults for the sweep knobs (CLI flags override).
 ENV_TIMEOUT = "REPRO_SWEEP_TIMEOUT"
@@ -83,52 +83,6 @@ def default_workers() -> int:
 
 
 @dataclass(frozen=True)
-class CellSpec:
-    """One sweep cell: everything needed to run it in a fresh process.
-
-    ``trace_dir`` points the worker at a trace artifact store to load its
-    input trace from instead of rebuilding it (see
-    :mod:`repro.isa.artifacts`). ``backend`` selects the execution backend
-    (:mod:`repro.sim.backends`) the worker dispatches through; ``None``
-    defers to ``REPRO_SIM_BACKEND``. Both affect only *how* the cell
-    executes — bit-identical results by the backend contract — so neither
-    participates in :meth:`key`: existing result stores stay valid and
-    batch-produced results interchange with reference ones.
-    """
-
-    workload: str
-    predictor: str
-    config: CoreConfig = field(default_factory=CoreConfig)
-    num_ops: int = 0
-    seed: Optional[int] = None
-    trace_dir: Optional[str] = None
-    backend: Optional[str] = None
-
-    def key(self) -> CellKey:
-        return cell_key(
-            self.workload, self.predictor, self.config, self.num_ops, self.seed
-        )
-
-    def describe(self) -> Dict[str, object]:
-        return dict(self.key().describe)
-
-    def run_spec(self, check_invariants: Optional[bool] = None):
-        """This cell as a canonical :class:`~repro.sim.spec.RunSpec`."""
-        from repro.sim.spec import RunSpec
-
-        return RunSpec(
-            workload=self.workload,
-            predictor=self.predictor,
-            config=self.config,
-            num_ops=self.num_ops or None,
-            seed=self.seed,
-            check_invariants=check_invariants,
-            trace_dir=self.trace_dir,
-            backend=self.backend,
-        )
-
-
-@dataclass(frozen=True)
 class BatchGroup:
     """Several cells of one trace, scheduled as a single worker job.
 
@@ -142,7 +96,7 @@ class BatchGroup:
     the rest — as one-item jobs, never as a group.
     """
 
-    cells: Tuple[CellSpec, ...]
+    cells: Tuple[RunSpec, ...]
     backend: str = "batch"
 
     @property
@@ -184,7 +138,7 @@ class CellOutcome:
     reaches the detailed-result namespace.
     """
 
-    spec: CellSpec
+    spec: RunSpec
     result: Optional[SimResult] = None
     failure: Optional[CellFailure] = None
     attempts: int = 0
@@ -216,7 +170,11 @@ def _cell_worker(conn, job, check_invariants: bool) -> None:
     try:
         for item in _items(job):
             try:
-                spec = item.run_spec(check_invariants=check_invariants or None)
+                spec = (
+                    item.with_overrides(check_invariants=True)
+                    if check_invariants
+                    else item
+                )
                 (result,) = get_backend(spec.resolved_backend()).run_many(
                     [spec],
                     on_heartbeat=heartbeat,
@@ -412,7 +370,7 @@ class ProcessCellExecutor:
 
     # -------------------------------------------------------------- runs --
 
-    def run_one(self, spec: CellSpec) -> CellOutcome:
+    def run_one(self, spec: RunSpec) -> CellOutcome:
         return self.run_many([spec])[0]
 
     def _stored(
@@ -441,7 +399,7 @@ class ProcessCellExecutor:
 
     def run_many(
         self,
-        specs: Sequence[CellSpec],
+        specs: Sequence[RunSpec],
         store: Optional[ResultStore] = None,
         resume: bool = True,
         progress: Optional[Callable[[CellOutcome], None]] = None,
@@ -464,7 +422,7 @@ class ProcessCellExecutor:
         This is the one place resume and quarantine are decided: a group
         whose cells are partly settled runs only the rest.
 
-        ``specs`` may be any picklable jobs (not just :class:`CellSpec`)
+        ``specs`` may be any picklable jobs (not just :class:`RunSpec`)
         when a matching custom ``worker=`` was given at construction;
         without a ``store`` only ``describe()`` is required of them.
 

@@ -1,12 +1,12 @@
 """Campaign-level sweep orchestration: resume, status, failure manifests.
 
 ``SweepRunner`` glues the durable :class:`~repro.harness.store.ResultStore`
-to the :class:`~repro.harness.executor.ProcessCellExecutor`: it expands a
-(workloads × predictors) grid into :class:`CellSpec` cells, skips cells the
-store already holds, runs the rest under process isolation, and finishes
-*with whatever succeeded* — failures become a machine-readable manifest
-(``<store>/failure_manifest.json``), never an abort. ``repro sweep`` is the
-CLI face of this module.
+to the :class:`~repro.harness.executor.ProcessCellExecutor`: it takes the
+:class:`~repro.sim.spec.RunSpec` cells of a grid (:func:`build_cells`
+expands one), skips cells the store already holds, runs the rest under
+process isolation, and finishes *with whatever succeeded* — failures
+become a machine-readable manifest (``<store>/failure_manifest.json``),
+never an abort. ``repro sweep`` is the CLI face of this module.
 
 Before fanning out, the runner *precompiles* every distinct input trace the
 pending cells need into a :class:`~repro.isa.artifacts.TraceStore` under
@@ -21,47 +21,16 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import CoreConfig
 from repro.harness.chaos import ChaosEngine, FaultPlan
-from repro.harness.executor import (
-    BatchGroup,
-    CellOutcome,
-    CellSpec,
-    ProcessCellExecutor,
-)
+from repro.harness.executor import BatchGroup, CellOutcome, ProcessCellExecutor
 from repro.harness.failures import CellFailure, FailureKind
 from repro.harness.leases import LeaseStore
 from repro.harness.store import ResultStore, StoreStatus
 from repro.isa.artifacts import TraceStore
 from repro.sim.metrics import SimResult
-
-
-def build_cells(
-    workloads: Iterable[str],
-    predictors: Iterable[str],
-    config: Optional[CoreConfig] = None,
-    num_ops: int = 0,
-    seed: Optional[int] = None,
-    trace_dir: Optional[str] = None,
-    backend: Optional[str] = None,
-) -> List[CellSpec]:
-    """Expand a (workload × predictor) grid into sweep cells."""
-    core = config or CoreConfig()
-    return [
-        CellSpec(
-            workload=workload,
-            predictor=predictor,
-            config=core,
-            num_ops=num_ops,
-            seed=seed,
-            trace_dir=trace_dir,
-            backend=backend,
-        )
-        for workload in workloads
-        for predictor in predictors
-    ]
+from repro.sim.spec import RunSpec, build_cells  # noqa: F401 (re-exported)
 
 
 @dataclass
@@ -208,7 +177,7 @@ class SweepRunner:
         self.trace_store = trace_store or TraceStore(self.store.root / "traces")
         self.precompile = precompile
 
-    def _precompile(self, cells: Sequence[CellSpec]) -> int:
+    def _precompile(self, cells: Sequence[RunSpec]) -> int:
         """Compile every distinct trace ``cells`` need; returns builds.
 
         Unknown workload names (e.g. synthetic cells in tests) are skipped —
@@ -217,7 +186,7 @@ class SweepRunner:
         from repro.sim.simulator import default_num_ops, get_trace
         from repro.workloads.spec2017 import workload
 
-        unique: Dict[tuple, CellSpec] = {}
+        unique: Dict[tuple, RunSpec] = {}
         for cell in cells:
             unique.setdefault((cell.workload, cell.seed, cell.num_ops), cell)
         built = 0
@@ -235,7 +204,7 @@ class SweepRunner:
         return built
 
     def _plan_jobs(
-        self, cells: Sequence[CellSpec], pending: "set[str]"
+        self, cells: Sequence[RunSpec], pending: "set[str]"
     ) -> List[object]:
         """Group pending batch-covered cells by trace into worker jobs.
 
@@ -253,14 +222,16 @@ class SweepRunner:
         from repro.sim.backends import default_backend_name, get_backend
 
         jobs: List[object] = []
-        groupable: Dict[tuple, List[CellSpec]] = {}
+        groupable: Dict[tuple, List[RunSpec]] = {}
         for cell in cells:
             backend_name = cell.backend or default_backend_name()
             grouped = False
             if backend_name != "reference" and cell.key().digest in pending:
                 try:
-                    spec = cell.run_spec(
-                        check_invariants=self.executor.check_invariants or None
+                    spec = (
+                        cell.with_overrides(check_invariants=True)
+                        if self.executor.check_invariants
+                        else cell
                     )
                     grouped = get_backend(backend_name).covers(spec)
                 except Exception:
@@ -287,16 +258,16 @@ class SweepRunner:
     peer_poll_seconds = 0.25
 
     def _claim_cells(
-        self, cells: Sequence[CellSpec], leases: LeaseStore, resume: bool
-    ) -> Tuple[List[CellSpec], List[CellSpec], "set[str]"]:
+        self, cells: Sequence[RunSpec], leases: LeaseStore, resume: bool
+    ) -> Tuple[List[RunSpec], List[RunSpec], "set[str]"]:
         """Split cells into (runnable, peer-leased, claimed digests).
 
         The store dedupe boundary is re-checked immediately before each
         claim: a cell a peer already answered is never leased at all — it
         flows through ``run_many``'s resume path as a plain cache hit.
         """
-        runnable: List[CellSpec] = []
-        foreign: List[CellSpec] = []
+        runnable: List[RunSpec] = []
+        foreign: List[RunSpec] = []
         claimed: "set[str]" = set()
         for cell in cells:
             key = cell.key()
@@ -343,7 +314,7 @@ class SweepRunner:
 
     def _await_peers(
         self,
-        foreign: Sequence[CellSpec],
+        foreign: Sequence[RunSpec],
         leases: LeaseStore,
         progress: Optional[Callable[[CellOutcome], None]] = None,
         heartbeat: Optional[Callable] = None,
@@ -362,7 +333,7 @@ class SweepRunner:
         never persisted, pending again on resume).
         """
         outcomes: List[CellOutcome] = []
-        waiting: Dict[str, CellSpec] = {
+        waiting: Dict[str, RunSpec] = {
             cell.key().digest: cell for cell in foreign
         }
         while waiting:
@@ -391,7 +362,7 @@ class SweepRunner:
                     if progress:
                         progress(outcome)
                 break
-            reclaimed: List[CellSpec] = []
+            reclaimed: List[RunSpec] = []
             for digest, cell in list(waiting.items()):
                 result = self.store.get(cell.key())
                 if result is not None:
@@ -430,7 +401,7 @@ class SweepRunner:
 
     def run(
         self,
-        cells: Sequence[CellSpec],
+        cells: Sequence[RunSpec],
         resume: bool = True,
         progress: Optional[Callable[[CellOutcome], None]] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -482,7 +453,7 @@ class SweepRunner:
         chaos = ChaosEngine(fault_plan) if fault_plan is not None else None
         scope = chaos.installed() if chaos is not None else contextlib.nullcontext()
         cutoff = None if deadline is None else time.monotonic() + float(deadline)
-        all_cells: Sequence[CellSpec] = cells
+        all_cells: Sequence[RunSpec] = cells
         # Digests the store does not hold yet: what triage, precompile and
         # grouping work on. Cached cells still flow through the executor,
         # which settles them (and quarantined ones) as it does every cell.
@@ -519,9 +490,9 @@ class SweepRunner:
                     for cell in cells
                 ]
                 rebuilds_before = self.trace_store.rebuild_count()
-            foreign: List[CellSpec] = []
+            foreign: List[RunSpec] = []
             claimed: "set[str]" = set()
-            run_cells: Sequence[CellSpec] = cells
+            run_cells: Sequence[RunSpec] = cells
             if leases is not None:
                 run_cells, foreign, claimed = self._claim_cells(
                     cells, leases, resume=resume
@@ -604,6 +575,6 @@ class SweepRunner:
         self.store.write_manifest(report.failures, extra=extra)
         return report
 
-    def status(self, cells: Sequence[CellSpec]) -> StoreStatus:
+    def status(self, cells: Sequence[RunSpec]) -> StoreStatus:
         """Completed/failed/pending counts for a sweep, without running it."""
         return self.store.status(cell.key() for cell in cells)

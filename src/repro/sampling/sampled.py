@@ -4,8 +4,7 @@
 :class:`~repro.sim.spec.RunSpec` it:
 
 1. clusters the trace's interval BBVs and picks representative intervals
-   (:func:`repro.analysis.simpoints.choose_simpoints` — the same selection
-   the SimPoint driver uses);
+   (:func:`repro.analysis.simpoints.choose_simpoints`);
 2. acquires a machine-state checkpoint just before each representative —
    from the content-addressed :class:`~repro.isa.artifacts.CheckpointStore`
    when one was warmed before (keyed by run identity, trace digest, op

@@ -419,9 +419,8 @@ class SweepServer:
             check_invariants = grid.check_invariants
             specs = grid.specs()
         else:
+            # A spec carries its own check_invariants to the worker.
             specs = [spec_from_wire(body)]
-            if specs[0].check_invariants:
-                check_invariants = True
         _job, receipt = self.manager.submit(
             specs, check_invariants=check_invariants, tenant=tenant
         )

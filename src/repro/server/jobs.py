@@ -6,9 +6,9 @@ of HTTP so it can be driven directly in tests. A submission (one
 becomes a :class:`Job`:
 
 1. **Validate** — every workload/predictor/backend name is checked against
-   its registry *at the submission boundary* (:func:`validate_names`), so a
-   typo is a structured 422 naming the offending field, never a worker
-   crash ten seconds later.
+   its registry *at the submission boundary*
+   (:func:`~repro.sim.spec.validate_names`), so a typo is a structured 422
+   naming the offending field, never a worker crash ten seconds later.
 2. **Dedupe** — each cell's content-addressed store key is checked against
    the shared :class:`~repro.harness.store.ResultStore` *before*
    scheduling. Cells already answered are marked ``cached`` in the
@@ -60,8 +60,8 @@ from repro.common.env import env_int
 from repro.harness.executor import ProcessCellExecutor
 from repro.harness.leases import LeaseStore
 from repro.harness.store import ResultStore
-from repro.harness.sweep import SweepRunner, build_cells
-from repro.sim.spec import RunSpec
+from repro.harness.sweep import SweepRunner
+from repro.sim.spec import RunSpec, validate_names
 
 logger = logging.getLogger(__name__)
 
@@ -111,62 +111,6 @@ class QuotaError(Exception):
 
 class SurrogateUnavailable(Exception):
     """A predict call on a server with no surrogate model loaded (→ 503)."""
-
-
-def validate_names(specs: Sequence[RunSpec]) -> None:
-    """Reject unknown workload/predictor/backend names with a WireError.
-
-    Reuses the registries the simulator itself resolves against, so the
-    server can never accept a name a worker would later choke on. Raises
-    :class:`~repro.api.wire.WireError` (→ structured 422) naming the field.
-    """
-    from repro.sim.backends import available_backends
-    from repro.sim.simulator import available_predictors
-    from repro.workloads.spec2017 import SPEC_PROFILES
-
-    predictors = set(available_predictors())
-    backends = set(available_backends())
-    for spec in specs:
-        if spec.workload_name not in SPEC_PROFILES:
-            raise WireError(
-                f"unknown workload {spec.workload_name!r}",
-                field="workload",
-                value=spec.workload_name,
-                choices=sorted(SPEC_PROFILES),
-            )
-        if spec.predictor_label not in predictors:
-            raise WireError(
-                f"unknown predictor {spec.predictor_label!r}",
-                field="predictor",
-                value=spec.predictor_label,
-                choices=sorted(predictors),
-            )
-        if spec.backend is not None and spec.backend not in backends:
-            raise WireError(
-                f"unknown backend {spec.backend!r}",
-                field="backend",
-                value=spec.backend,
-                choices=sorted(backends),
-            )
-        # The shared store keys cells on (workload, predictor, config,
-        # num_ops, seed) only — a per-run warmup/interval override would
-        # produce results other clients could mistake for default-warmup
-        # ones, so v1 refuses rather than silently mis-filing them.
-        if spec.warmup_ops is not None:
-            raise WireError(
-                "warmup_ops overrides are not accepted by the server "
-                "(results are keyed without them); submit with "
-                "warmup_ops=None",
-                field="warmup_ops",
-                value=spec.warmup_ops,
-            )
-        if spec.interval_ops is not None:
-            raise WireError(
-                "interval_ops overrides are not accepted by the server; "
-                "heartbeat windows are streamed automatically",
-                field="interval_ops",
-                value=spec.interval_ops,
-            )
 
 
 @dataclass
@@ -608,19 +552,9 @@ class JobManager:
                 status=413,
             )
         validate_names(specs)
-        cells = [
-            build_cells(
-                [spec.workload_name],
-                [spec.predictor_label],
-                config=spec.config,
-                num_ops=spec.num_ops or 0,
-                seed=spec.seed,
-            )[0]
-            for spec in specs
-        ]
         return [
             estimate.to_dict()
-            for estimate in self.surrogate.predict_all(cells)
+            for estimate in self.surrogate.predict_all(specs)
         ]
 
     # ----------------------------------------------------------- dispatch --
@@ -655,17 +589,6 @@ class JobManager:
                 getattr(job, "check_invariants", False)
             ),
         )
-        cells = [
-            build_cells(
-                [spec.workload_name],
-                [spec.predictor_label],
-                config=spec.config,
-                num_ops=spec.num_ops or 0,
-                seed=spec.seed,
-                backend=spec.backend,
-            )[0]
-            for spec in pending
-        ]
 
         def progress(outcome) -> None:
             cell = job.cell_for(outcome.spec.key().digest)
@@ -718,7 +641,7 @@ class JobManager:
             )
 
         report = runner.run(
-            cells,
+            pending,
             progress=progress,
             heartbeat=heartbeat,
             stop=job.stop,

@@ -16,7 +16,8 @@ worker subprocesses, or tests via ``monkeypatch.setenv`` — take effect.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.common.env import env_int
 from repro.common.lru import CacheInfo, LRUCache
@@ -79,6 +80,13 @@ PREDICTOR_FACTORIES: Dict[str, Callable[[], MDPredictor]] = {
     "unlimited-nosq": UnlimitedNoSQPredictor,
     "unlimited-mdp-tage": UnlimitedMDPTagePredictor,
 }
+
+#: The built-in registry as shipped. The batch backend's fused engine was
+#: validated against exactly these factories, so a name whose registration
+#: no longer matches (shadowed via ``replace=True``) falls back to reference.
+BUILTIN_PREDICTORS: Mapping[str, Callable[[], MDPredictor]] = MappingProxyType(
+    dict(PREDICTOR_FACTORIES)
+)
 
 
 def register_predictor(
@@ -199,9 +207,8 @@ def build_pipeline(
     ``spec.interval_ops`` is set — attaches an
     :class:`~repro.sim.intervals.IntervalMetricsProbe`, returned alongside
     the pipeline so the caller can harvest its windows. This is the single
-    spec-to-pipeline translation shared by :func:`run_spec`, the SimPoint
-    driver (:mod:`repro.analysis.simpoints`) and the sampled-simulation
-    interval workers (:mod:`repro.sampling.sampled`).
+    spec-to-pipeline translation shared by :func:`run_spec` and the
+    sampled-simulation interval workers (:mod:`repro.sampling.sampled`).
     """
     core_config = spec.resolved_config()
     predictor = spec.predictor

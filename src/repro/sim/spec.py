@@ -1,13 +1,13 @@
 """The canonical description of one simulation run.
 
-``simulate()`` historically took nine loose parameters; the harness's
-``CellSpec`` duplicated five of them; the result-store key and the trace
-artifact key each re-derived their fields independently. :class:`RunSpec`
-unifies them: one frozen dataclass that the sim API executes directly
-(``simulate(spec)``), the harness ships to worker processes, and both
-content-hash keys (:func:`RunSpec.key` for the result store,
-:func:`RunSpec.trace_key` for the trace artifact store) derive from — so
-the three can never silently disagree about what a "run" is.
+:class:`RunSpec` is the one cell type: a frozen dataclass that the sim API
+executes directly (``simulate(spec)``), the CLI and the wire codec build,
+the harness ships to worker processes, and both content-hash keys
+(:func:`RunSpec.key` for the result store, :func:`RunSpec.trace_key` for
+the trace artifact store) derive from — so no two layers can silently
+disagree about what a "run" is. :func:`build_cells` is the one place a
+(workloads × predictors) grid is expanded into specs, and
+:func:`validate_names` the one registry check on their names.
 
 Identity vs. execution: only ``workload``, ``predictor``, ``config``,
 ``num_ops`` and ``seed`` participate in the result-store key. The remaining
@@ -19,7 +19,7 @@ cell it is — matching the pre-existing ``cell_key`` semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import CoreConfig
 from repro.core.probes import Probe
@@ -207,3 +207,95 @@ class RunSpec:
 
     def describe(self) -> dict:
         return dict(self.key().describe)
+
+
+def build_cells(
+    workloads: Iterable[str],
+    predictors: Iterable[str],
+    config: Optional[CoreConfig] = None,
+    num_ops: int = 0,
+    seed: Optional[int] = None,
+    trace_dir: Optional[str] = None,
+    backend: Optional[str] = None,
+) -> List[RunSpec]:
+    """Expand a (workload × predictor) grid into specs, workload-major.
+
+    ``num_ops=0`` means "the default trace length at run time" (``None`` on
+    the spec; keyed as 0, see :meth:`RunSpec.key`), and every cell carries
+    the resolved ``config`` so a grid's cells share one config object.
+    """
+    core = config or CoreConfig()
+    predictors = tuple(predictors)  # iterated once per workload
+    return [
+        RunSpec(
+            workload=workload,
+            predictor=predictor,
+            config=core,
+            num_ops=num_ops or None,
+            seed=seed,
+            trace_dir=trace_dir,
+            backend=backend,
+        )
+        for workload in workloads
+        for predictor in predictors
+    ]
+
+
+def validate_names(specs: Sequence[RunSpec]) -> None:
+    """Reject unknown workload/predictor/backend names with a WireError.
+
+    Checks against the registries the simulator itself resolves against, so
+    neither the CLI nor the server can accept a name a worker would later
+    choke on; also refuses the warmup/interval overrides a result-store key
+    cannot carry. Raises :class:`~repro.api.wire.WireError` (a
+    ``ValueError``; the server renders it as a structured 422) naming the
+    field.
+    """
+    from repro.api.wire import WireError
+    from repro.sim.backends import available_backends
+    from repro.sim.simulator import available_predictors
+    from repro.workloads.spec2017 import SPEC_PROFILES
+
+    predictors = set(available_predictors())
+    backends = set(available_backends())
+    for spec in specs:
+        if spec.workload_name not in SPEC_PROFILES:
+            raise WireError(
+                f"unknown workload {spec.workload_name!r}",
+                field="workload",
+                value=spec.workload_name,
+                choices=sorted(SPEC_PROFILES),
+            )
+        if spec.predictor_label not in predictors:
+            raise WireError(
+                f"unknown predictor {spec.predictor_label!r}",
+                field="predictor",
+                value=spec.predictor_label,
+                choices=sorted(predictors),
+            )
+        if spec.backend is not None and spec.backend not in backends:
+            raise WireError(
+                f"unknown backend {spec.backend!r}",
+                field="backend",
+                value=spec.backend,
+                choices=sorted(backends),
+            )
+        # Result stores key cells on (workload, predictor, config, num_ops,
+        # seed) only — a per-run warmup/interval override would produce
+        # results other clients could mistake for default-warmup ones, so
+        # v1 refuses rather than silently mis-filing them.
+        if spec.warmup_ops is not None:
+            raise WireError(
+                "warmup_ops overrides are not accepted by the server "
+                "(results are keyed without them); submit with "
+                "warmup_ops=None",
+                field="warmup_ops",
+                value=spec.warmup_ops,
+            )
+        if spec.interval_ops is not None:
+            raise WireError(
+                "interval_ops overrides are not accepted by the server; "
+                "heartbeat windows are streamed automatically",
+                field="interval_ops",
+                value=spec.interval_ops,
+            )

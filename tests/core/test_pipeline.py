@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import CoreConfig
-from repro.core.pipeline import Pipeline, PipelineStats, _PortPool, _WidthCursor
+from repro.core.context import _PortPool, _WidthCursor
+from repro.core.pipeline import Pipeline, PipelineStats
 from repro.frontend.branch_predictors import AlwaysTakenPredictor
 from repro.isa.trace import Trace
 from repro.mdp.ideal import AlwaysSpeculatePredictor, AlwaysWaitPredictor, IdealPredictor

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.lsq import StoreRecord, multi_store_suppliers
-from repro.core.pipeline import _PortPool, _StoreWindow, _WidthCursor
+from repro.core.context import _PortPool, _StoreWindow, _WidthCursor
 
 
 def record(seq, address=0x1000, size=8, store_number=None, drain=10_000):

@@ -24,7 +24,6 @@ from repro.core.pipeline import PipelineStats
 from repro.harness.chaos import FaultPlan
 from repro.harness.executor import (
     BatchGroup,
-    CellSpec,
     ProcessCellExecutor,
     _cell_worker,
 )
@@ -33,13 +32,14 @@ from repro.harness.store import ResultStore
 from repro.harness.sweep import SweepRunner, build_cells
 from repro.mdp.base import MDPStats
 from repro.sim.metrics import SimResult
+from repro.sim.spec import RunSpec
 
 
 def _result_for(cell):
     return SimResult(
         workload=cell.workload,
         predictor=cell.predictor,
-        core=cell.config.name,
+        core=cell.resolved_config().name,
         pipeline=PipelineStats(committed_uops=100, cycles=50),
         mdp=MDPStats(),
     )
@@ -87,7 +87,7 @@ def _one_bad_cell_then_crash_worker(conn, job, check_invariants):
 
 def _group(n=4, workload="wl"):
     cells = tuple(
-        CellSpec(workload=workload, predictor=f"p{i}", num_ops=100)
+        RunSpec(workload=workload, predictor=f"p{i}", num_ops=100)
         for i in range(n)
     )
     return BatchGroup(cells=cells, backend="batch")
@@ -182,10 +182,10 @@ class TestPerCellSalvage:
         """A dying group, lone cells and a cached cell: one outcome per
         item, in input order, whatever order they settled in."""
         store = ResultStore(tmp_path / "store")
-        cached = CellSpec(workload="wl", predictor="cached", num_ops=100)
+        cached = RunSpec(workload="wl", predictor="cached", num_ops=100)
         store.put(cached.key(), _result_for(cached))
-        lone_a = CellSpec(workload="wl", predictor="lone-a", num_ops=100)
-        lone_b = CellSpec(workload="wl", predictor="lone-b", num_ops=100)
+        lone_a = RunSpec(workload="wl", predictor="lone-a", num_ops=100)
+        lone_b = RunSpec(workload="wl", predictor="lone-b", num_ops=100)
         group = _group(4)
         jobs = [lone_a, group, cached, lone_b]
         outcomes = executor(_die_after_two_worker, workers=2).run_many(
@@ -256,7 +256,7 @@ class TestSweepPlanning:
         runner = SweepRunner(store, ProcessCellExecutor(), precompile=False)
         cells = build_cells(["511.povray"], ["phast", "nosq"], num_ops=100)
         jobs = runner._plan_jobs(cells, _digests(cells))
-        assert all(isinstance(job, CellSpec) for job in jobs)
+        assert all(isinstance(job, RunSpec) for job in jobs)
 
     def test_batch_cells_grouped_by_trace(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -283,7 +283,7 @@ class TestSweepPlanning:
         # the store already held cells[0] when the run began
         jobs = runner._plan_jobs(cells, _digests(cells[1:]))
         groups = [job for job in jobs if isinstance(job, BatchGroup)]
-        solos = [job for job in jobs if isinstance(job, CellSpec)]
+        solos = [job for job in jobs if isinstance(job, RunSpec)]
         assert len(groups) == 1 and len(groups[0].cells) == 2
         assert [s.predictor for s in solos] == ["phast"]
 
@@ -294,7 +294,7 @@ class TestSweepPlanning:
             ["511.povray"], ["phast"], num_ops=100, backend="batch"
         )
         jobs = runner._plan_jobs(cells, _digests(cells))
-        assert all(isinstance(job, CellSpec) for job in jobs)
+        assert all(isinstance(job, RunSpec) for job in jobs)
 
     def test_uncovered_cells_stay_solo(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -307,7 +307,7 @@ class TestSweepPlanning:
             ["511.povray"], ["phast", "nosq"], num_ops=100, backend="batch"
         )
         jobs = runner._plan_jobs(cells, _digests(cells))
-        assert all(isinstance(job, CellSpec) for job in jobs)
+        assert all(isinstance(job, RunSpec) for job in jobs)
 
     def test_unknown_backend_cells_fail_solo_with_clear_error(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -316,7 +316,7 @@ class TestSweepPlanning:
             ["511.povray"], ["phast", "nosq"], num_ops=100, backend="bogus"
         )
         jobs = runner._plan_jobs(cells, _digests(cells))
-        assert all(isinstance(job, CellSpec) for job in jobs)
+        assert all(isinstance(job, RunSpec) for job in jobs)
 
 
 class TestGroupWorkerBody:
@@ -326,7 +326,7 @@ class TestGroupWorkerBody:
         import multiprocessing
 
         cells = tuple(
-            CellSpec(workload="511.povray", predictor=p, num_ops=1500)
+            RunSpec(workload="511.povray", predictor=p, num_ops=1500)
             for p in ("ideal", "always-wait")
         )
         group = BatchGroup(cells=cells, backend="batch")
@@ -361,11 +361,11 @@ class TestLoneBatchCell:
         from repro.sim.simulator import run_spec
 
         monkeypatch.delenv("REPRO_HEARTBEAT_OPS", raising=False)
-        cell = CellSpec(
+        cell = RunSpec(
             workload="511.povray", predictor="phast", num_ops=3000,
             backend="batch",
         )
-        expected = run_spec(cell.run_spec().with_overrides(backend="reference"))
+        expected = run_spec(cell.with_overrides(backend="reference"))
 
         def no_fallback(*args, **kwargs):
             raise AssertionError("a covered cell fell back to reference")
@@ -390,7 +390,7 @@ class TestLoneBatchCell:
         """Invariant checking takes a batch cell outside the fused engine's
         envelope; its reference fallback still streams heartbeat windows."""
         monkeypatch.setenv("REPRO_HEARTBEAT_OPS", "1000")
-        cell = CellSpec(
+        cell = RunSpec(
             workload="511.povray", predictor="phast", num_ops=3000,
             backend="batch",
         )

@@ -18,7 +18,7 @@ def _ok_worker(conn, spec, check_invariants):
     result = SimResult(
         workload=spec.workload,
         predictor=spec.predictor,
-        core=spec.config.name,
+        core=spec.resolved_config().name,
         pipeline=PipelineStats(committed_uops=100, cycles=50),
         mdp=MDPStats(),
     )
@@ -51,6 +51,12 @@ class TestBuildCells:
             (w, p) for w in ("a", "b") for p in ("x", "y", "z")
         }
         assert all(c.num_ops == 100 and c.seed == 4 for c in cells)
+
+    def test_one_shot_iterables_expand_fully(self):
+        cells = build_cells(iter(["a", "b"]), (p for p in ("x", "y")))
+        assert [(c.workload, c.predictor) for c in cells] == [
+            ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")
+        ]
 
     def test_shared_config(self):
         config = CoreConfig()

@@ -19,10 +19,10 @@ from repro.harness.executor import ProcessCellExecutor
 from repro.harness.store import ResultStore
 from repro.harness.sweep import SweepRunner, build_cells
 from repro.mdp.base import MDPStats
-from repro.server.jobs import JobManager, QuotaError, validate_names
+from repro.server.jobs import JobManager, QuotaError
 from repro.server.http import SweepServer
 from repro.sim.metrics import SimResult
-from repro.sim.spec import RunSpec
+from repro.sim.spec import RunSpec, validate_names
 
 OPS = 600
 WORKLOADS = ["511.povray"]
@@ -34,7 +34,7 @@ def _instant_worker(conn, spec, check_invariants):
     result = SimResult(
         workload=spec.workload,
         predictor=spec.predictor,
-        core=spec.config.name,
+        core=spec.resolved_config().name,
         pipeline=PipelineStats(committed_uops=100, cycles=50),
         mdp=MDPStats(),
     )

@@ -48,6 +48,23 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["suite", "--predictors", "bogus", "--subset", "1"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["suite"],
+            ["sweep", "--store", "{tmp}/store"],
+            ["chaos", "--store", "{tmp}/soak"],
+            ["export", "{tmp}/out.json"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_rejects_unknown_predictor(self, command, tmp_path):
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--predictors", "phast,bogus", "--subset", "1"])
+        assert str(excinfo.value) == "unknown predictor 'bogus'"
+        assert not any(tmp_path.iterdir())  # rejected before any work
+
     def test_workloads(self, capsys):
         assert main(["workloads"]) == 0
         assert "511.povray" in capsys.readouterr().out
