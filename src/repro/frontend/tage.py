@@ -14,7 +14,6 @@ the structure of a TAGE branch prediction").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.common.bitops import mask
@@ -22,6 +21,10 @@ from repro.common.counters import SignedSaturatingCounter
 from repro.common.rng import DeterministicRNG
 from repro.frontend.branch_predictors import BranchPredictor
 from repro.isa.microop import BranchKind
+
+#: Index width of the bimodal base table (4K 2-bit counters).
+_BIMODAL_BITS = 12
+_BIMODAL_MASK = mask(_BIMODAL_BITS)
 
 
 def geometric_history_lengths(minimum: int, maximum: int, count: int) -> List[int]:
@@ -76,18 +79,16 @@ class FoldedHistory:
         )
 
 
-@dataclass
-class TageEntry:
-    tag: int = 0
-    counter: SignedSaturatingCounter = field(
-        default_factory=lambda: SignedSaturatingCounter(bits=3)
-    )
-    useful: int = 0
-    valid: bool = False
-
-
 class TAGEPredictor(BranchPredictor):
-    """Plain TAGE with ``num_tables`` tagged components."""
+    """Plain TAGE with ``num_tables`` tagged components.
+
+    Storage is flat: each tagged component is four parallel per-field lists
+    (``tags``, ``ctrs``, ``useful``, ``valid``) and the bimodal base is one
+    list of ints, so building a predictor costs a handful of list
+    allocations rather than one object per entry. Counters saturate inline:
+    bimodal 2-bit in ``[-2, 1]``, tagged 3-bit in ``[-4, 3]``, useful in
+    ``[0, 2**useful_bits - 1]``; a counter predicts taken when ``>= 0``.
+    """
 
     name = "tage"
     year = 2006
@@ -114,13 +115,12 @@ class TAGEPredictor(BranchPredictor):
         self._reset_period = reset_period
         self._rng = DeterministicRNG(seed)
 
-        self._bimodal: List[SignedSaturatingCounter] = [
-            SignedSaturatingCounter(bits=2) for _ in range(1 << 12)
-        ]
-        self._tables: List[List[TageEntry]] = [
-            [TageEntry() for _ in range(1 << table_index_bits)]
-            for _ in self._lengths
-        ]
+        self._bimodal: List[int] = [0] * (1 << _BIMODAL_BITS)
+        size = 1 << table_index_bits
+        self._tags: List[List[int]] = [[0] * size for _ in self._lengths]
+        self._ctrs: List[List[int]] = [[0] * size for _ in self._lengths]
+        self._useful: List[List[int]] = [[0] * size for _ in self._lengths]
+        self._valid: List[List[bool]] = [[False] * size for _ in self._lengths]
         # Global history as a fixed circular buffer: ``_history[(head + i) %
         # len]`` is history bit ``i`` (0 = youngest). A plain list with
         # ``insert(0)`` costs O(max_history) per branch; the cursor is O(1).
@@ -140,25 +140,35 @@ class TAGEPredictor(BranchPredictor):
 
     # -- indexing -----------------------------------------------------------
 
-    def _bimodal_index(self, pc: int) -> int:
-        return pc & mask(12)
+    def _indices(self, pc: int) -> List[int]:
+        """Per-component table index of ``pc`` under the current history.
 
-    def _table_index(self, pc: int, table: int) -> int:
-        return (
-            pc ^ (pc >> (self._index_bits - table)) ^ self._folded_index[table].value
-        ) & self._index_mask
+        Indices only move when history shifts (the end of :meth:`_train`),
+        so one list serves a branch's lookup, prediction, update and
+        allocation.
+        """
+        index_bits = self._index_bits
+        index_mask = self._index_mask
+        return [
+            (pc ^ (pc >> (index_bits - table)) ^ folded.value) & index_mask
+            for table, folded in enumerate(self._folded_index)
+        ]
 
     def _table_tag(self, pc: int, table: int) -> int:
         return (
             pc ^ self._folded_tag0[table].value ^ (self._folded_tag1[table].value << 1)
         ) & self._tag_mask
 
-    def _lookup(self, pc: int) -> Tuple[Optional[int], Optional[int]]:
+    def _lookup(
+        self, pc: int, indices: List[int]
+    ) -> Tuple[Optional[int], Optional[int]]:
         """Return (provider_table, alternate_table), longest-history match first."""
         provider = alternate = None
-        for table in range(len(self._lengths) - 1, -1, -1):
-            entry = self._tables[table][self._table_index(pc, table)]
-            if entry.valid and entry.tag == self._table_tag(pc, table):
+        valid = self._valid
+        tags = self._tags
+        for table in range(len(indices) - 1, -1, -1):
+            index = indices[table]
+            if valid[table][index] and tags[table][index] == self._table_tag(pc, table):
                 if provider is None:
                     provider = table
                 else:
@@ -166,66 +176,74 @@ class TAGEPredictor(BranchPredictor):
                     break
         return provider, alternate
 
-    def _table_prediction(self, pc: int, table: int) -> bool:
-        return self._tables[table][self._table_index(pc, table)].counter.is_positive
-
-    def _bimodal_prediction(self, pc: int) -> bool:
-        return self._bimodal[self._bimodal_index(pc)].is_positive
-
     # -- BranchPredictor interface -------------------------------------------
 
     def _final_prediction(
-        self, pc: int, provider: Optional[int], alternate: Optional[int]
+        self,
+        pc: int,
+        indices: List[int],
+        provider: Optional[int],
+        alternate: Optional[int],
     ) -> bool:
         """The TAGE prediction given an already-computed :meth:`_lookup`."""
         if provider is None:
-            return self._bimodal_prediction(pc)
-        entry = self._tables[provider][self._table_index(pc, provider)]
-        newly_allocated = abs(entry.counter.value * 2 + 1) == 1 and entry.useful == 0
+            return self._bimodal[pc & _BIMODAL_MASK] >= 0
+        index = indices[provider]
+        ctr = self._ctrs[provider][index]
+        newly_allocated = (ctr == 0 or ctr == -1) and self._useful[provider][index] == 0
         if newly_allocated and self._use_alt.is_positive:
             if alternate is not None:
-                return self._table_prediction(pc, alternate)
-            return self._bimodal_prediction(pc)
-        return entry.counter.is_positive
+                return self._ctrs[alternate][indices[alternate]] >= 0
+            return self._bimodal[pc & _BIMODAL_MASK] >= 0
+        return ctr >= 0
 
     def predict(self, pc: int) -> bool:
-        provider, alternate = self._lookup(pc)
-        return self._final_prediction(pc, provider, alternate)
+        indices = self._indices(pc)
+        provider, alternate = self._lookup(pc, indices)
+        return self._final_prediction(pc, indices, provider, alternate)
 
     def _train(
         self,
         pc: int,
         taken: bool,
+        indices: List[int],
         provider: Optional[int],
         alternate: Optional[int],
         final_prediction: bool,
     ) -> None:
         """The update sequence given an already-computed lookup + prediction."""
         if provider is not None:
-            entry = self._tables[provider][self._table_index(pc, provider)]
-            provider_prediction = entry.counter.is_positive
+            index = indices[provider]
+            ctrs = self._ctrs[provider]
+            useful = self._useful[provider]
+            ctr = ctrs[index]
+            provider_prediction = ctr >= 0
             if alternate is not None:
-                alt_prediction = self._table_prediction(pc, alternate)
+                alt_prediction = self._ctrs[alternate][indices[alternate]] >= 0
             else:
-                alt_prediction = self._bimodal_prediction(pc)
+                alt_prediction = self._bimodal[pc & _BIMODAL_MASK] >= 0
             # Track whether alternate would have been better for weak entries.
-            newly_allocated = abs(entry.counter.value * 2 + 1) == 1 and entry.useful == 0
+            newly_allocated = (ctr == 0 or ctr == -1) and useful[index] == 0
             if newly_allocated and provider_prediction != alt_prediction:
                 self._use_alt.update_towards(alt_prediction == taken)
             # Usefulness: provider correct where the alternate was wrong.
             if provider_prediction != alt_prediction:
                 if provider_prediction == taken:
-                    entry.useful = min(self._useful_max, entry.useful + 1)
+                    useful[index] = min(self._useful_max, useful[index] + 1)
                 else:
-                    entry.useful = max(0, entry.useful - 1)
-            entry.counter.update_towards(taken)
+                    useful[index] = max(0, useful[index] - 1)
+            ctrs[index] = min(3, ctr + 1) if taken else max(-4, ctr - 1)
         else:
-            self._bimodal[self._bimodal_index(pc)].update_towards(taken)
+            bimodal = self._bimodal
+            slot = pc & _BIMODAL_MASK
+            bimodal[slot] = (
+                min(1, bimodal[slot] + 1) if taken else max(-2, bimodal[slot] - 1)
+            )
 
         # Allocate on misprediction in a longer-history table.
         if final_prediction != taken:
             start = (provider + 1) if provider is not None else 0
-            self._allocate(pc, taken, start)
+            self._allocate(pc, taken, indices, start)
 
         self._shift_history(pc, taken)
         self._branch_count += 1
@@ -233,9 +251,10 @@ class TAGEPredictor(BranchPredictor):
             self._reset_useful()
 
     def update(self, pc: int, taken: bool) -> None:
-        provider, alternate = self._lookup(pc)
-        final_prediction = self._final_prediction(pc, provider, alternate)
-        self._train(pc, taken, provider, alternate, final_prediction)
+        indices = self._indices(pc)
+        provider, alternate = self._lookup(pc, indices)
+        final_prediction = self._final_prediction(pc, indices, provider, alternate)
+        self._train(pc, taken, indices, provider, alternate, final_prediction)
 
     def observe(self, pc: int, kind, taken: bool, target: int) -> bool:
         """Predict-then-train with the table search shared between the two.
@@ -247,36 +266,40 @@ class TAGEPredictor(BranchPredictor):
         search per conditional branch instead of three.
         """
         if kind is BranchKind.CONDITIONAL:
-            provider, alternate = self._lookup(pc)
-            final_prediction = self._final_prediction(pc, provider, alternate)
-            self._train(pc, taken, provider, alternate, final_prediction)
+            indices = self._indices(pc)
+            provider, alternate = self._lookup(pc, indices)
+            final_prediction = self._final_prediction(pc, indices, provider, alternate)
+            self._train(pc, taken, indices, provider, alternate, final_prediction)
             return final_prediction != taken
         return super().observe(pc, kind, taken, target)
 
     # -- internals -----------------------------------------------------------
 
-    def _allocate(self, pc: int, taken: bool, start_table: int) -> None:
+    def _allocate(
+        self, pc: int, taken: bool, indices: List[int], start_table: int
+    ) -> None:
+        useful = self._useful
         candidates = [
             table
-            for table in range(start_table, len(self._lengths))
-            if self._tables[table][self._table_index(pc, table)].useful == 0
+            for table in range(start_table, len(indices))
+            if useful[table][indices[table]] == 0
         ]
         if not candidates:
             # Decay usefulness so future allocations can succeed.
-            for table in range(start_table, len(self._lengths)):
-                entry = self._tables[table][self._table_index(pc, table)]
-                entry.useful = max(0, entry.useful - 1)
+            for table in range(start_table, len(indices)):
+                index = indices[table]
+                useful[table][index] = max(0, useful[table][index] - 1)
             return
         # Prefer the shortest candidate, with a 1/2 chance of skipping to the
         # next (Seznec's anti-ping-pong allocation randomisation).
         chosen = candidates[0]
         if len(candidates) > 1 and self._rng.one_in(2):
             chosen = candidates[1]
-        entry = self._tables[chosen][self._table_index(pc, chosen)]
-        entry.valid = True
-        entry.tag = self._table_tag(pc, chosen)
-        entry.counter = SignedSaturatingCounter(bits=3, value=0 if taken else -1)
-        entry.useful = 0
+        index = indices[chosen]
+        self._valid[chosen][index] = True
+        self._tags[chosen][index] = self._table_tag(pc, chosen)
+        self._ctrs[chosen][index] = 0 if taken else -1
+        useful[chosen][index] = 0
 
     def _shift_history(self, pc: int, taken: bool) -> None:
         new_bit = int(taken) ^ (pc & 1)
@@ -296,9 +319,8 @@ class TAGEPredictor(BranchPredictor):
         self._hist_head = head
 
     def _reset_useful(self) -> None:
-        for table_entries in self._tables:
-            for entry in table_entries:
-                entry.useful = 0
+        for useful in self._useful:
+            useful[:] = [0] * len(useful)
 
     def storage_bits(self) -> int:
         tagged = len(self._lengths) * (1 << self._index_bits) * (

@@ -38,6 +38,7 @@ import enum
 import hashlib
 import json
 import logging
+import weakref
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,10 +92,30 @@ def canonical_config(config: CoreConfig) -> Dict[str, object]:
     return rendered
 
 
+#: ``id(config)`` -> fingerprint, for configs still alive (see below).
+_FINGERPRINTS: Dict[int, str] = {}
+
+
 def config_fingerprint(config: CoreConfig) -> str:
-    """SHA-256 hex digest over the complete canonical config."""
-    blob = json.dumps(canonical_config(config), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """SHA-256 hex digest over the complete canonical config.
+
+    Computed once per config object: a sweep keys every cell several times
+    and a grid's cells share one config, while canonicalising and hashing
+    it costs a few hundred microseconds. ``CoreConfig`` is frozen, so the
+    digest cannot go stale; a ``dataclasses.replace``-d config is a new
+    object and is fingerprinted afresh. (Its ``latencies``/``ports`` maps
+    must not be mutated in place, as the frozen contract already implies.)
+    The memo is keyed by ``id`` because the config's dict fields make it
+    unhashable, and a finalizer drops the entry when the config dies, so
+    an id is never reused while its entry exists.
+    """
+    digest = _FINGERPRINTS.get(id(config))
+    if digest is None:
+        blob = json.dumps(canonical_config(config), sort_keys=True)
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        _FINGERPRINTS[id(config)] = digest
+        weakref.finalize(config, _FINGERPRINTS.pop, id(config), None)
+    return digest
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,9 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.bitops import ceil_log2, mask, pc_hash_index, pc_hash_tag
-from repro.common.counters import SignedSaturatingCounter
 from repro.common.rng import DeterministicRNG
 from repro.frontend.branch_predictors import BranchPredictor
 from repro.frontend.tage import geometric_history_lengths
@@ -40,17 +38,6 @@ from repro.mdp.base import (
 )
 from repro.mdp.mdp_tage import ALL_OLDER, HISTORY_CHUNK_BITS, TARGET_BITS
 from repro.mdp.tables import ChunkedFoldedHistory
-
-
-@dataclass
-class _OmniEntry:
-    """A shared TAGE entry: either a branch or a memory-dependence record."""
-
-    tag: int = 0
-    kind: str = ""  # "branch" | "mdp"
-    counter: int = 0  # branch: signed direction counter; mdp: store distance
-    useful: int = 0
-    valid: bool = False
 
 
 class _OmniBranchView(BranchPredictor):
@@ -82,7 +69,14 @@ class _OmniBranchView(BranchPredictor):
 
 
 class OmniPredictor(MDPredictor):
-    """Shared-table TAGE serving branch direction and store distance."""
+    """Shared-table TAGE serving branch direction and store distance.
+
+    Each table is four parallel per-field lists indexed by entry: ``kinds``
+    (``"branch"`` or ``"mdp"``; ``""`` marks an entry never written),
+    ``tags``, ``counters`` (branch: signed 3-bit direction counter; mdp:
+    store distance) and ``useful``. The bimodal base is a list of 2-bit
+    signed ints in ``[-2, 1]``.
+    """
 
     name = "omnipredictor"
     trains_at_commit = False  # MDP side follows MDP-TAGE's policy
@@ -106,12 +100,12 @@ class OmniPredictor(MDPredictor):
         self._entries_per_table = entries_per_table
         self._index_bits = ceil_log2(entries_per_table)
         self._tag_bits = tag_bits
-        self._tables: List[List[_OmniEntry]] = [
-            [_OmniEntry() for _ in range(entries_per_table)] for _ in self._lengths
-        ]
-        self._bimodal: List[SignedSaturatingCounter] = [
-            SignedSaturatingCounter(bits=2) for _ in range(1 << 12)
-        ]
+        size = entries_per_table
+        self._kinds: List[List[str]] = [[""] * size for _ in self._lengths]
+        self._tags: List[List[int]] = [[0] * size for _ in self._lengths]
+        self._counters: List[List[int]] = [[0] * size for _ in self._lengths]
+        self._useful: List[List[int]] = [[0] * size for _ in self._lengths]
+        self._bimodal: List[int] = [0] * (1 << 12)
         self._folds: List[Tuple[ChunkedFoldedHistory, ChunkedFoldedHistory]] = [
             (
                 ChunkedFoldedHistory(length, HISTORY_CHUNK_BITS, self._index_bits),
@@ -149,53 +143,64 @@ class OmniPredictor(MDPredictor):
         tag = (pc_hash_tag(pc, self._tag_bits) ^ tag_fold.value) & mask(self._tag_bits)
         return index, tag
 
-    def _lookup(self, pc: int, kind: str) -> Tuple[Optional[int], Optional[_OmniEntry]]:
+    def _lookup(self, pc: int, kind: str) -> Tuple[Optional[int], int]:
+        """(table position, entry index) of the longest-history ``kind`` hit.
+
+        The position is ``None`` on a miss. An MDP entry only provides while
+        its useful bit is set.
+        """
         for position in range(len(self._lengths) - 1, -1, -1):
             index, tag = self._keys(pc, position)
-            entry = self._tables[position][index]
-            if entry.valid and entry.tag == tag and entry.kind == kind:
-                if kind == "branch" or entry.useful:
-                    return position, entry
-        return None, None
+            if (
+                self._kinds[position][index] == kind
+                and self._tags[position][index] == tag
+            ):
+                if kind == "branch" or self._useful[position][index]:
+                    return position, index
+        return None, 0
 
-    def _allocate(self, pc: int, position: int, kind: str) -> _OmniEntry:
+    def _allocate(self, pc: int, position: int, kind: str) -> int:
+        """Claim the ``kind`` entry of ``pc`` in ``position``; return its index."""
         index, tag = self._keys(pc, position)
-        entry = self._tables[position][index]
-        if entry.valid and entry.kind != kind:
+        current = self._kinds[position][index]
+        if current and current != kind:
             if kind == "mdp":
                 self.branch_evicted_by_mdp += 1
             else:
                 self.mdp_evicted_by_branch += 1
-        entry.valid = True
-        entry.kind = kind
-        entry.tag = tag
-        entry.useful = 1
-        entry.counter = 0
-        return entry
+        self._kinds[position][index] = kind
+        self._tags[position][index] = tag
+        self._useful[position][index] = 1
+        self._counters[position][index] = 0
+        return index
 
     def _tick(self) -> None:
         self._accesses += 1
         if self._accesses % self._reset_period == 0:
-            for table in self._tables:
-                for entry in table:
-                    entry.useful = 0
+            for useful in self._useful:
+                useful[:] = [0] * len(useful)
 
     # -- branch side -------------------------------------------------------------
 
     def predict_branch(self, pc: int) -> bool:
-        position, entry = self._lookup(pc, "branch")
-        if entry is None:
-            return self._bimodal[pc & mask(12)].is_positive
-        return entry.counter >= 0
+        position, index = self._lookup(pc, "branch")
+        if position is None:
+            return self._bimodal[pc & mask(12)] >= 0
+        return self._counters[position][index] >= 0
 
     def update_branch(self, pc: int, taken: bool) -> None:
         self._tick()
-        position, entry = self._lookup(pc, "branch")
+        position, index = self._lookup(pc, "branch")
         predicted = self.predict_branch(pc)
-        if entry is not None:
-            entry.counter = max(-4, min(3, entry.counter + (1 if taken else -1)))
+        if position is not None:
+            counters = self._counters[position]
+            counters[index] = max(-4, min(3, counters[index] + (1 if taken else -1)))
         else:
-            self._bimodal[pc & mask(12)].update_towards(taken)
+            bimodal = self._bimodal
+            slot = pc & mask(12)
+            bimodal[slot] = (
+                min(1, bimodal[slot] + 1) if taken else max(-2, bimodal[slot] - 1)
+            )
         if predicted != taken:
             start = (position + 1) if position is not None else 0
             if start < len(self._lengths):
@@ -203,8 +208,8 @@ class OmniPredictor(MDPredictor):
                     start + (1 if self._rng.one_in(2) else 0),
                     len(self._lengths) - 1,
                 )
-                new_entry = self._allocate(pc, target, "branch")
-                new_entry.counter = 0 if taken else -1
+                new_index = self._allocate(pc, target, "branch")
+                self._counters[target][new_index] = 0 if taken else -1
 
     # -- MDP side ------------------------------------------------------------------
 
@@ -212,22 +217,23 @@ class OmniPredictor(MDPredictor):
         self.stats.load_predictions += 1
         self.stats.table_reads += len(self._lengths)
         self._tick()
-        position, entry = self._lookup(load.pc, "mdp")
+        position, index = self._lookup(load.pc, "mdp")
         self._pending[load.seq] = position
-        if entry is None:
+        if position is None:
             return NO_DEPENDENCE
         self.stats.dependences_predicted += 1
-        if entry.counter >= ALL_OLDER:
+        distance = self._counters[position][index]
+        if distance >= ALL_OLDER:
             return Prediction(wait_all_older=True)
-        return Prediction(distances=(entry.counter,))
+        return Prediction(distances=(distance,))
 
     def on_violation(self, violation: ViolationInfo) -> None:
         self.stats.trainings += 1
         self.stats.table_writes += 1
         provider = self._pending.get(violation.load_seq)
         target = 0 if provider is None else min(provider + 1, len(self._lengths) - 1)
-        entry = self._allocate(violation.load_pc, target, "mdp")
-        entry.counter = min(violation.store_distance, ALL_OLDER)
+        index = self._allocate(violation.load_pc, target, "mdp")
+        self._counters[target][index] = min(violation.store_distance, ALL_OLDER)
 
     def on_load_commit(self, commit: LoadCommitInfo) -> None:
         provider = self._pending.pop(commit.seq, None)
@@ -235,9 +241,11 @@ class OmniPredictor(MDPredictor):
             return
         if self._rng.one_in(self._fp_one_in):
             index, tag = self._keys(commit.pc, provider)
-            entry = self._tables[provider][index]
-            if entry.valid and entry.tag == tag and entry.kind == "mdp":
-                entry.useful = 0
+            if (
+                self._kinds[provider][index] == "mdp"
+                and self._tags[provider][index] == tag
+            ):
+                self._useful[provider][index] = 0
                 self.stats.table_writes += 1
 
     def storage_bits(self) -> int:

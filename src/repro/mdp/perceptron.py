@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.common.counters import SignedSaturatingCounter
 from repro.mdp.base import (
     NO_DEPENDENCE,
     LoadCommitInfo,
@@ -47,9 +46,14 @@ class PerceptronMDPredictor(MDPredictor):
         self._distance_bits = distance_bits
         self._max_distance = (1 << distance_bits) - 1
         self._threshold = int(1.93 * history_loads + 14)
-        self._weights: List[List[SignedSaturatingCounter]] = [
-            [SignedSaturatingCounter(bits=weight_bits) for _ in range(history_loads + 1)]
-            for _ in range(table_entries)
+        if weight_bits <= 1:
+            raise ValueError(f"weight_bits must be > 1, got {weight_bits}")
+        # Signed saturating weights in [-2**(bits-1), 2**(bits-1) - 1]; one
+        # int row per perceptron, the bias weight first.
+        self._weight_max = (1 << (weight_bits - 1)) - 1
+        self._weight_min = -(1 << (weight_bits - 1))
+        self._weights: List[List[int]] = [
+            [0] * (history_loads + 1) for _ in range(table_entries)
         ]
         self._history: List[int] = [-1] * history_loads  # +1 violated / -1 clean
         self._distances: Dict[int, int] = {}
@@ -60,9 +64,9 @@ class PerceptronMDPredictor(MDPredictor):
 
     def _output(self, pc: int) -> int:
         weights = self._weights[self._index(pc)]
-        output = weights[0].value
+        output = weights[0]
         for weight, direction in zip(weights[1:], self._history):
-            output += weight.value * direction
+            output += weight * direction
         return output
 
     def on_load_dispatch(self, load: LoadDispatchInfo) -> Prediction:
@@ -81,12 +85,14 @@ class PerceptronMDPredictor(MDPredictor):
         if predicted_dependent != dependent or abs(output) <= self._threshold:
             direction = 1 if dependent else -1
             weights = self._weights[self._index(pc)]
-            weights[0].increment() if dependent else weights[0].decrement()
-            for weight, hist_dir in zip(weights[1:], self._history):
+            high = self._weight_max
+            low = self._weight_min
+            # The bias weight's input is a constant +1.
+            for slot, hist_dir in enumerate([1] + self._history):
                 if hist_dir == direction:
-                    weight.increment()
+                    weights[slot] = min(high, weights[slot] + 1)
                 else:
-                    weight.decrement()
+                    weights[slot] = max(low, weights[slot] - 1)
             self.stats.table_writes += 1
 
     def on_violation(self, violation: ViolationInfo) -> None:

@@ -34,17 +34,24 @@ class PredictionEntry:
 
 
 class SetAssocTable:
-    """N-way set-associative table of :class:`PredictionEntry`."""
+    """N-way set-associative table of :class:`PredictionEntry`.
+
+    Sets are materialised on their first :meth:`allocate`; until then a set
+    holds no objects at all. An absent set behaves exactly like a fresh one
+    — every way invalid, way 0 least recent — so a :meth:`lookup` on it
+    misses and its first allocation takes way 0. Building a table therefore
+    costs two lists, not an entry and an LRU state per way and set.
+    :meth:`entries` and :meth:`clear` cover the materialised sets only: an
+    absent set's entries would all be fresh, which no reset or clear alters.
+    """
 
     def __init__(self, num_sets: int, ways: int) -> None:
         if num_sets <= 0 or ways <= 0:
             raise ValueError("num_sets and ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
-        self._entries: List[List[PredictionEntry]] = [
-            [PredictionEntry() for _ in range(ways)] for _ in range(num_sets)
-        ]
-        self._lru: List[LRUState] = [LRUState(ways) for _ in range(num_sets)]
+        self._entries: List[Optional[List[PredictionEntry]]] = [None] * num_sets
+        self._lru: List[Optional[LRUState]] = [None] * num_sets
 
     @property
     def total_entries(self) -> int:
@@ -53,7 +60,10 @@ class SetAssocTable:
     def lookup(self, index: int, tag: int, touch: bool = True) -> Optional[PredictionEntry]:
         """Find a valid entry with ``tag`` in set ``index``; promote on hit."""
         set_index = index % self.num_sets
-        for way, entry in enumerate(self._entries[set_index]):
+        ways = self._entries[set_index]
+        if ways is None:
+            return None
+        for way, entry in enumerate(ways):
             if entry.valid and entry.tag == tag:
                 if touch:
                     self._lru[set_index].touch(way)
@@ -69,6 +79,10 @@ class SetAssocTable:
         """
         set_index = index % self.num_sets
         ways = self._entries[set_index]
+        if ways is None:
+            ways = [PredictionEntry() for _ in range(self.ways)]
+            self._entries[set_index] = ways
+            self._lru[set_index] = LRUState(self.ways)
         lru = self._lru[set_index]
         for way, entry in enumerate(ways):
             if entry.valid and entry.tag == tag:
@@ -87,8 +101,8 @@ class SetAssocTable:
         return ways[victim]
 
     def entries(self) -> List[PredictionEntry]:
-        """Flat view over all entries (for reset sweeps and introspection)."""
-        return [entry for ways in self._entries for entry in ways]
+        """Flat view over the materialised sets' entries, in set order."""
+        return [entry for ways in self._entries if ways is not None for entry in ways]
 
     def clear(self) -> None:
         for entry in self.entries():

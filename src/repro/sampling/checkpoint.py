@@ -27,7 +27,9 @@ import zlib
 #: First bytes of every checkpoint artifact.
 CHECKPOINT_MAGIC = b"RCKP"
 #: Bump when the captured state tree's shape changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: v2: TAGE, Omnipredictor and perceptron tables became flat per-field
+#: lists, and set-associative tables materialise sets on first write.
+CHECKPOINT_VERSION = 2
 
 #: magic, format version, reserved, payload length, payload crc32
 _HEADER = struct.Struct("<4sHHII")

@@ -1,9 +1,13 @@
 """Tests for shared prediction-table structures and history folding."""
 
+import random
+from typing import List, Optional
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common.lru import LRUState
 from repro.mdp.tables import (
     ChunkedFoldedHistory,
     PredictionEntry,
@@ -80,6 +84,112 @@ class TestSetAssocTable:
     def test_validation(self):
         with pytest.raises(ValueError):
             SetAssocTable(num_sets=0, ways=4)
+
+
+class _EagerTable:
+    """Oracle: the same replacement policy with every set built up front."""
+
+    def __init__(self, num_sets: int, ways: int) -> None:
+        self.num_sets = num_sets
+        self.sets = [[PredictionEntry() for _ in range(ways)] for _ in range(num_sets)]
+        self.lru = [LRUState(ways) for _ in range(num_sets)]
+
+    def lookup(self, index: int, tag: int) -> Optional[int]:
+        set_index = index % self.num_sets
+        for way, entry in enumerate(self.sets[set_index]):
+            if entry.valid and entry.tag == tag:
+                self.lru[set_index].touch(way)
+                return way
+        return None
+
+    def allocate(self, index: int, tag: int) -> int:
+        set_index = index % self.num_sets
+        ways, lru = self.sets[set_index], self.lru[set_index]
+        for way, entry in enumerate(ways):
+            if entry.valid and entry.tag == tag:
+                break
+        else:
+            for way, entry in enumerate(ways):
+                if not entry.valid:
+                    break
+            else:
+                zero = [w for w in lru.recency_order()[::-1] if ways[w].confidence == 0]
+                way = zero[0] if zero else lru.victim()
+        lru.touch(way)
+        return way
+
+    def clear(self) -> None:
+        for ways in self.sets:
+            for entry in ways:
+                entry.valid, entry.confidence, entry.useful = False, 0, 0
+
+
+def _way_of(table: SetAssocTable, index: int, entry: Optional[PredictionEntry]):
+    if entry is None:
+        return None
+    return table._entries[index % table.num_sets].index(entry)
+
+
+class TestLazySets:
+    """Sets exist only once written, and an absent set acts like a fresh one."""
+
+    def test_lookup_on_untouched_set_misses_without_materialising(self):
+        table = SetAssocTable(num_sets=8, ways=4)
+        for tag in (0, 1, 5):
+            assert table.lookup(3, tag=tag) is None
+            assert table.lookup(3, tag=tag, touch=False) is None
+        assert table.entries() == []
+
+    def test_first_allocation_takes_way_zero(self):
+        table = SetAssocTable(num_sets=8, ways=4)
+        entry = table.allocate(5, tag=9)
+        assert not entry.valid and entry.confidence == 0
+        assert len(table.entries()) == 4
+        assert table.entries()[0] is entry  # way 0 of the only built set
+        entry.valid, entry.tag = True, 9
+        second = table.allocate(5, tag=10)
+        assert table.entries()[1] is second  # then the next invalid way
+
+    def test_seeded_stream_matches_eager_table(self):
+        rng = random.Random(17)
+        lazy, eager = SetAssocTable(num_sets=16, ways=4), _EagerTable(16, 4)
+        trail_lazy: List[object] = []
+        trail_eager: List[object] = []
+        for step in range(4000):
+            index, tag = rng.randrange(64), rng.randrange(12)
+            if step % 997 == 996:
+                lazy.clear()
+                eager.clear()
+            elif rng.random() < 0.5:
+                trail_lazy.append(_way_of(lazy, index, lazy.lookup(index, tag)))
+                trail_eager.append(eager.lookup(index, tag))
+            else:
+                entry = lazy.allocate(index, tag)
+                way = eager.allocate(index, tag)
+                trail_lazy.append(_way_of(lazy, index, entry))
+                trail_eager.append(way)
+                confidence = rng.randrange(3)
+                twin = eager.sets[index % 16][way]
+                for target in (entry, twin):
+                    target.valid, target.tag, target.confidence = True, tag, confidence
+        assert trail_lazy == trail_eager
+        assert any(way is not None and way > 0 for way in trail_lazy)
+
+    def test_clear_on_partly_materialised_table(self):
+        table = SetAssocTable(num_sets=8, ways=2)
+        for index in (1, 6):
+            entry = table.allocate(index, tag=index)
+            entry.valid, entry.tag, entry.confidence, entry.useful = True, index, 3, 1
+        table.clear()
+        assert len(table.entries()) == 4  # clearing builds no further sets
+        assert all(
+            not e.valid and e.confidence == 0 and e.useful == 0 for e in table.entries()
+        )
+        assert table.lookup(1, tag=1) is None
+        assert table.lookup(2, tag=2) is None
+        # Cleared and untouched sets alike hand out their first invalid way.
+        assert table.allocate(1, tag=4) is table.entries()[0]
+        assert table.allocate(3, tag=4) is table.entries()[2]
 
 
 class TestFoldWindow:

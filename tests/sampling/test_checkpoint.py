@@ -72,6 +72,14 @@ def test_version_drift_rejected(blob):
         decode_checkpoint(corrupt)
 
 
+def test_version_one_checkpoint_rejected(blob):
+    # v1 pickled one object per predictor-table entry; its state trees do
+    # not fit the flat tables, so a stored v1 artifact must read as a miss.
+    stale = blob[:4] + (1).to_bytes(2, "little") + blob[6:]
+    with pytest.raises(CheckpointFormatError, match="format v1"):
+        decode_checkpoint(stale)
+
+
 def test_truncated_payload_rejected(blob):
     with pytest.raises(CheckpointFormatError):
         decode_checkpoint(blob[:-10])

@@ -99,6 +99,24 @@ def test_corrupted_stored_checkpoint_is_rewarmed(spec, tmp_path):
     assert again.sampling.checkpoints_warmed == again.sampling.num_representatives
 
 
+def test_version_one_stored_checkpoint_is_rewarmed(spec, tmp_path, sampled):
+    store = CheckpointStore(tmp_path)
+    run_sampled(
+        spec, interval_ops=INTERVAL, warmup_ops=LEAD, max_clusters=4,
+        checkpoint_store=store,
+    )
+    for entry in tmp_path.glob("*.ckpt"):
+        data = entry.read_bytes()
+        entry.write_bytes(data[:4] + (1).to_bytes(2, "little") + data[6:])
+    again = run_sampled(
+        spec, interval_ops=INTERVAL, warmup_ops=LEAD, max_clusters=4,
+        checkpoint_store=store,
+    )
+    assert again.sampling.checkpoints_reused == 0
+    assert again.sampling.checkpoints_warmed == again.sampling.num_representatives
+    assert again.pipeline == sampled.pipeline
+
+
 def test_worker_fanout_matches_inline(spec, sampled):
     parallel = run_sampled(
         spec, interval_ops=INTERVAL, warmup_ops=LEAD, max_clusters=4, workers=2
